@@ -94,11 +94,7 @@ def write_csv(path: Path, header, rows, comments=()) -> None:
 
 def read_csv_column(path: Path, column: str):
     """Read one numeric column; malformed rows are reported with line numbers."""
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError:
-        raise
-    with fh:
+    with open(path, encoding="utf-8") as fh:
         header = None
         values = []
         for lineno, line in enumerate(fh, start=1):

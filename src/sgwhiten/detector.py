@@ -3,28 +3,36 @@
 Both statistics weigh fitted foreground power (the quadratic coefficient
 alone) against fitted background power (everything except the constant and
 quadratic terms), measured in the metric G = psi' W_s psi of the filter's
-own weight matrix.  A Cholesky factor U of G turns each masked coefficient
-vector into orthonormal coordinates where the powers are plain squared norms:
+own weight matrix.  With a1, a0 the masked coefficient vectors and U the
+Cholesky factor of G, the powers are |U a1|^2 and |U a0|^2:
 
-    Z[n] = |U a1[n]|^2 / (|U a0[n]|^2 + eps)
-    D[n] = max(|U a1[n]|^2 - nu r[n], 0) / (|U a0[n]|^2 + eps)
+    Z[n] = p1[n] / (p0[n] + eps)
+    D[n] = max(p1[n] - nu r[n], 0) / (p0[n] + eps)
 
-with a1, a0 the masked coefficient vectors.  Z, the fitted foreground to
-background ratio, is the per-pulse peak SNR.  D is the detection statistic:
-its numerator is the foreground power less the share that noise alone puts
-there.  Under the filter's noise model (noise covariance proportional to
-W^-1) the whitened residual of the window fit, r = e' W_s e, holds M - L
-noise dimensions and the fitted foreground holds tr(G_11 (G^-1)_11) of them,
-G_11 being the foreground block, so
+Each power is a quadratic form in the kept coefficients only, so it needs
+only the matching block of G.  With F the foreground indices, B the
+background ones and C_F, C_B upper-triangular factors of the blocks
+(C_F'C_F = G_FF, C_B'C_B = G_BB),
 
-    nu = tr(G_11 (G^-1)_11) / (M - L)
+    p1 = |C_F a_F|^2 = |U a1|^2        p0 = |C_B a_B|^2 = |U a0|^2
 
-makes nu r an unbiased estimate of the noise in |U a1|^2.  The factor is
-large where the metric makes the quadratic column nearly collinear with the
-others (about 724 for the wide-band preset F at M = 17, 1.2-7.7 for the
-rest).  D <= Z, so every event is also a Z crossing.  The residual is the
-sum of squares of M - L FIR outputs, through the columns of a factor V of
-the residual form, V V' = W_s - W_s psi G^-1 psi' W_s.
+which for the default mask is p1 = G_22 a_2^2.  The factors are kept on the
+transform per mask, so the statistic reads the coefficient columns directly.
+Z, the fitted foreground to background ratio, is the per-pulse peak SNR.  D
+is the detection statistic: its numerator is the foreground power less the
+share that noise alone puts there.  Under the filter's noise model (noise
+covariance proportional to W^-1) the whitened residual of the window fit,
+r = e' W_s e, holds M - L noise dimensions and the fitted foreground holds
+tr(G_FF (G^-1)_FF) of them, so
+
+    nu = tr(G_FF (G^-1)_FF) / (M - L)
+
+makes nu r an unbiased estimate of the noise in p1.  The factor is large
+where the metric makes the quadratic column nearly collinear with the others
+(about 724 for the wide-band preset F at M = 17, 1.2-7.7 for the rest).
+D <= Z, so every event is also a Z crossing.  The residual is the sum of
+squares of M - L FIR outputs, through the columns of a factor V of the
+residual form, V V' = W_s - W_s psi G^-1 psi' W_s.
 
 W is first rescaled to unit maximum element.  Both ratios are unchanged by
 the scale of W except through eps, so the rescaling fixes the scale the
@@ -84,6 +92,34 @@ DEFAULT_MASKS = HypothesisMask()
 
 
 @dataclass(frozen=True)
+class MaskFactors:
+    """Gram-block factors of one mask: p1 = |a @ foreground|^2 and
+    p0 = |a @ background|^2 for a coefficient row a.
+
+    ``foreground`` is L x |F| and holds C_F' in the rows F (zero elsewhere),
+    so a @ foreground = (C_F a_F)' without gathering the columns; likewise
+    ``background`` for B.  ``share`` is ``noise_share``'s nu.
+    """
+
+    foreground: np.ndarray
+    background: np.ndarray
+    share: float
+
+
+def _block_factor(u: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """L x |keep| matrix with C' in the rows ``keep``, C'C = G_keep,keep.
+
+    C is the R factor of U's ``keep`` columns (the Cholesky factor of the
+    block up to row signs), so the block itself is never formed and the
+    factor exists whenever U does.
+    """
+    factor = np.zeros((u.shape[0], len(keep)))
+    factor[keep] = np.linalg.qr(u[:, keep], mode="r").T
+    factor.setflags(write=False)
+    return factor
+
+
+@dataclass(frozen=True)
 class OrthoTransform:
     """Upper-triangular U with U'U = G = psi' W_s psi, the rescaled W_s, and
     the basis psi."""
@@ -91,9 +127,9 @@ class OrthoTransform:
     u: np.ndarray
     w_scaled: np.ndarray
     psi: np.ndarray
-    # noise_share values by mask, filled on first use
-    _shares: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
+    # MaskFactors by mask, filled on first use
+    _masks: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self) -> None:
         for name in ("u", "w_scaled", "psi"):
@@ -104,6 +140,28 @@ class OrthoTransform:
     @property
     def order(self) -> int:
         return self.u.shape[0]
+
+    def mask_factors(self, masks: HypothesisMask) -> MaskFactors:
+        """The Gram-block factors and noise share of a mask, built on its
+        first use and kept."""
+        if masks not in self._masks:
+            fore = np.flatnonzero(masks.foreground_vector(self.order))
+            back = np.flatnonzero(masks.background_vector(self.order))
+            residual_dims = self.w_scaled.shape[0] - self.order
+            # Noise with covariance s W_s^-1 puts s tr(G_FF (G^-1)_FF) into the
+            # foreground power and s (M - L) into the residual power.
+            # G_FF = P'P and (G^-1)_FF = R R' with P the foreground columns
+            # of U and R the foreground rows of U^-1.
+            cols = self.u[:, fore]
+            rows = np.linalg.inv(self.u)[fore]
+            dims = np.sum((cols.T @ cols) * (rows @ rows.T))
+            # With L = M the fit is exact: no residual, and no noise estimate
+            # from it.
+            share = float(dims / residual_dims) if residual_dims else 0.0
+            self._masks[masks] = MaskFactors(
+                foreground=_block_factor(self.u, fore),
+                background=_block_factor(self.u, back), share=share)
+        return self._masks[masks]
 
     @cached_property
     def residual_factor(self) -> np.ndarray:
@@ -195,35 +253,23 @@ def noise_share(transform: OrthoTransform,
                 masks: HypothesisMask = DEFAULT_MASKS) -> float:
     """Noise power in the fitted foreground per unit of residual power.
 
-    Noise with covariance s W_s^-1 puts s tr(G_11 (G^-1)_11) into the
+    Noise with covariance s W_s^-1 puts s tr(G_FF (G^-1)_FF) into the
     foreground power and s (M - L) into the residual power, G = U'U.  The
     value is kept on the transform, one per mask.
     """
-    if masks not in transform._shares:
-        residual_dims = transform.w_scaled.shape[0] - transform.order
-        keep = list(masks.foreground_keep)
-        # G_11 = B'B and (G^-1)_11 = R R' with B the foreground columns of U
-        # and R the foreground rows of U^-1.
-        cols = transform.u[:, keep]
-        rows = np.linalg.inv(transform.u)[keep]
-        dims = np.sum((cols.T @ cols) * (rows @ rows.T))
-        # With L = M the fit is exact: no residual, and no noise estimate
-        # from it.
-        transform._shares[masks] = (float(dims / residual_dims)
-                                   if residual_dims else 0.0)
-    return transform._shares[masks]
+    return transform.mask_factors(masks).share
 
 
 def _powers(features: FeatureSeries, transform: OrthoTransform,
             masks: HypothesisMask, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Fitted foreground and background powers |U a1|^2, |U a0|^2 per sample."""
+    """Fitted foreground and background powers |C_F a_F|^2, |C_B a_B|^2 per
+    sample, equal to |U a1|^2 and |U a0|^2."""
     if epsilon <= 0:
         raise ValueError("denominator guard epsilon must be positive")
-    order = features.order
-    u = transform.u
-    beta1 = (features.coeffs * masks.foreground_vector(order)) @ u.T
-    beta0 = (features.coeffs * masks.background_vector(order)) @ u.T
-    return np.einsum("ij,ij->i", beta1, beta1), np.einsum("ij,ij->i", beta0, beta0)
+    factors = transform.mask_factors(masks)
+    fore = features.coeffs @ factors.foreground
+    back = features.coeffs @ factors.background
+    return np.einsum("ij,ij->i", fore, fore), np.einsum("ij,ij->i", back, back)
 
 
 def compute_statistic(features: FeatureSeries, transform: OrthoTransform,

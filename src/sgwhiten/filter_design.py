@@ -21,6 +21,7 @@ D Nyquist notch, E narrow-band multi-notch, F wide-band high-frequency.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -30,11 +31,7 @@ from .errors import IllConditionedError
 
 PRESET_LABELS = ("A", "B", "C", "D", "E", "F")
 
-# Both solver routes agree to ~1e-8 relative below this condition estimate;
-# above it only the conditioning report is guaranteed.
-WELL_CONDITIONED_LIMIT = 1e8
-
-# Inverse-Toeplitz weights with a condition estimate above this take the
+# Inverse-Toeplitz weights with a condition number above this take the
 # bordered KKT route (the notch designs); cheaper models keep the W route.
 KKT_CONDITION_LIMIT = 1e6
 
@@ -190,7 +187,7 @@ def solve_kkt(r_matrix: np.ndarray, psi: np.ndarray, mu: np.ndarray) -> np.ndarr
         solution = np.linalg.solve(bordered, rhs)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(
-            f"bordered system is singular (condition estimate "
+            f"bordered system is singular (condition number "
             f"{nm.condition_estimate(r):.3e}): {exc}") from exc
     return solution[:m][::-1].copy()
 
@@ -313,10 +310,11 @@ def design(spec: DesignSpec, label: str = "custom") -> DesignedFilter:
     """Solve a design spec into taps, operators, and diagnostics.
 
     The explicit weighted-LS route is used for diagonal or well-conditioned
-    weights; the bordered KKT route takes over when the autocorrelation
-    matrix condition estimate exceeds 1e8.  Even-derivative taps are
-    symmetrized (odd-derivative taps antisymmetrized), which the exact
-    solution satisfies for any symmetric Toeplitz weight.
+    weights; the bordered KKT route takes over when the condition number of
+    the autocorrelation matrix exceeds ``KKT_CONDITION_LIMIT`` (1e6).
+    Even-derivative taps are symmetrized (odd-derivative taps
+    antisymmetrized), which the exact solution satisfies for any symmetric
+    Toeplitz weight.
     """
     psi = build_vandermonde(spec.m, spec.l)
     mu = moment_vector(spec.l)
@@ -396,8 +394,13 @@ def design_preset(label: str, m: int = 17, l: int = 5, d: int = 0,
     return design(DesignSpec(m=m, l=l, d=d, ts=ts, noise=noise), label=label)
 
 
+@functools.lru_cache(maxsize=None)
 def preset_cutoff(m: int, l: int, ts: float = 1.0) -> float:
-    """Cut-off omega_c = 0.75 * omega_delta of the plain design at (M, L)."""
+    """Cut-off omega_c = 0.75 * omega_delta of the plain design at (M, L).
+
+    Kept per (M, L, ts): presets B, C and F all derive their cut-off from
+    the same plain design.
+    """
     base = design(DesignSpec(m=m, l=l, d=0, ts=ts, noise=nm.NoiseModel.white(ts)),
                   label="A")
     if base.omega_delta is None:

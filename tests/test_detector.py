@@ -133,6 +133,38 @@ class TestStatistic:
         assert z[0] > 1e3
 
 
+class TestGramBlockKernel:
+    # The two-column foreground takes the multi-column factor path that the
+    # default mask, with its single quadratic column, never does.
+    MASKS = (DEFAULT_MASKS,
+             HypothesisMask(foreground_keep=(1, 2), background_zero=(0,)))
+
+    @pytest.mark.parametrize("l", [3, 5, 7])
+    @pytest.mark.parametrize("label", sg.PRESET_LABELS)
+    def test_matches_masked_u_definition(self, label, l, presets, rng):
+        filt = presets[label] if l == 5 else sg.design_preset(label, l=l)
+        tr = build_ortho_transform(filt.operators.psi, filt.operators.weight.matrix)
+        coeffs = rng.normal(size=(60, l))
+        feats = FeatureSeries(coeffs=coeffs, offset=8)
+        residual = rng.uniform(0.0, 2.0, size=60)
+        eps = 1e-3
+        for masks in self.MASKS:
+            # |U (m . a)|^2 with the mask applied to each coefficient row.
+            p1 = np.sum(((coeffs * masks.foreground_vector(l)) @ tr.u.T) ** 2, axis=1)
+            p0 = np.sum(((coeffs * masks.background_vector(l)) @ tr.u.T) ** 2, axis=1)
+            want_z = p1 / (p0 + eps)
+            noise = noise_share(tr, masks) * residual
+            want_d = np.maximum(p1 - noise, 0.0) / (p0 + eps)
+            z = compute_statistic(feats, tr, masks=masks, epsilon=eps)
+            report = detect(feats, tr, residual, masks=masks, epsilon=eps)
+            np.testing.assert_allclose(z, want_z, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(report.z, want_z, rtol=1e-12, atol=0)
+            # D subtracts two powers, so its error is relative to their sum.
+            decision = 10.0 ** (report.decision_db / 10.0)
+            scale = (p1 + noise) / (p0 + eps)
+            assert np.all(np.abs(decision - want_d) <= 1e-12 * scale)
+
+
 class TestNoiseCorrection:
     @pytest.mark.parametrize("label", sg.PRESET_LABELS)
     def test_residual_power_is_whitened_fit_residual(self, label, presets,

@@ -234,6 +234,14 @@ class TestConditionEstimate:
     def test_identity(self):
         assert nm.condition_estimate(np.eye(8)) == pytest.approx(1.0, rel=1e-9)
 
+    @pytest.mark.parametrize("label", ["E", "F"])
+    def test_exact_at_wide_window(self, label):
+        r = nm.correlation_matrix(sg.design_preset(label, m=257).spec.noise, 257)
+        assert nm.condition_estimate(r) == pytest.approx(np.linalg.cond(r), rel=1e-8)
+
+    def test_singular_is_infinite(self):
+        assert nm.condition_estimate(np.diag([1.0, 0.0, 2.0])) == math.inf
+
 
 class TestNoiseModelSpec:
     def test_roundtrip_all_kinds(self):

@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,7 @@ from . import filter_design as fd
 from . import noise_models as nm
 from . import sim_harness as sim
 from .analysis_bank import SampleSequence, convolve
-from .detector import (DB_FLOOR, DEFAULT_EPSILON, DEFAULT_GAMMA_DB,
-                       HypothesisMask, build_ortho_transform)
+from .detector import DB_FLOOR, DEFAULT_EPSILON, DEFAULT_GAMMA_DB, HypothesisMask
 from .errors import NumericalError
 
 
@@ -44,8 +44,7 @@ class FileFormatError(Exception):
 CONFIG_SECTIONS = {
     "design": {"preset", "M", "L", "d", "ts", "noise", "sigma_nb",
                "omega_list", "omega_c"},
-    "detector": {"gamma_db", "epsilon", "foreground_keep", "background_zero",
-                 "collapse_runs"},
+    "detector": {"gamma_db", "epsilon", "foreground_keep", "background_zero"},
     "scenario": {"name", "seeds", "amplitude", "gap", "colored_white_noise"},
     "output": {"dir", "format", "grid"},
 }
@@ -93,15 +92,23 @@ def write_csv(path: Path, header, rows, comments=()) -> None:
 
 
 def read_csv_column(path: Path, column: str):
-    """Read one numeric column; malformed rows are reported with line numbers."""
+    """Read one numeric column; malformed rows are reported with line numbers.
+
+    One reader parses the non-blank, non-'#' lines; ``lineno`` is the
+    physical number of the line it consumed last.
+    """
+    lineno = 0
+
+    def data_lines(fh):
+        nonlocal lineno
+        for lineno, line in enumerate(fh, start=1):
+            if line.rstrip("\n") and not line.startswith("#"):
+                yield line
+
     with open(path, encoding="utf-8") as fh:
         header = None
         values = []
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = next(csv.reader([line]))
+        for fields in csv.reader(data_lines(fh)):
             if header is None:
                 header = fields
                 if column not in header:
@@ -303,35 +310,24 @@ def cmd_simulate(args, config) -> int:
         raise ConfigError(f"unknown output format {fmt!r}")
     out_dir = _out_dir(args, config)
 
-    labels = fd.PRESET_LABELS
-    filters = {lab: fd.design_preset(lab, m=m, l=l, d=0) for lab in labels}
-    transforms = {lab: build_ortho_transform(f.operators.psi,
-                                             f.operators.weight.matrix)
-                  for lab, f in filters.items()}
-    gap_val = 3 * m if gap is None else int(gap)
-
-    for name in scenarios:
-        for seed in seeds:
-            trace = sim.build_trace(name, seed, amplitude=amplitude,
-                                    gap=gap_val, colored_white_noise=colored_white)
-            _write_seed_outputs(out_dir, trace, filters, transforms, masks,
-                                gamma_db, epsilon, m)
-
-    result = sim.run_experiment(scenarios=scenarios, labels=labels, m=m, l=l,
+    result = sim.run_experiment(scenarios=scenarios, m=m, l=l,
                                 gamma_db=gamma_db, seeds=seeds,
-                                amplitude=amplitude, gap=gap_val,
-                                epsilon=epsilon,
-                                colored_white_noise=colored_white)
+                                amplitude=amplitude,
+                                gap=None if gap is None else int(gap),
+                                epsilon=epsilon, masks=masks,
+                                colored_white_noise=colored_white,
+                                sink=partial(_write_seed_outputs, out_dir,
+                                             gamma_db, m))
     _write_table(out_dir, result, fmt)
     for name in scenarios:
         cells = " ".join(f"{lab}={result.cells[(name, lab)].median_db:6.1f}"
-                         for lab in labels)
+                         for lab in result.labels)
         print(f"{name:20s} median medium-pulse peak dB: {cells}")
     return 0
 
 
-def _write_seed_outputs(out_dir, trace, filters, transforms, masks,
-                        gamma_db, epsilon, m) -> None:
+def _write_seed_outputs(out_dir, gamma_db, m, trace, filters, reports) -> None:
+    """``run_experiment`` sink: one trace's CSV and detection summary JSON."""
     k = (m - 1) // 2
     n_total = len(trace.x)
     interior = np.arange(k, n_total - k)
@@ -346,9 +342,7 @@ def _write_seed_outputs(out_dir, trace, filters, transforms, masks,
     for lab, filt in filters.items():
         seq = SampleSequence(values=trace.x, ts=trace.ts)
         smoothed = convolve(seq, filt.h)
-        report = sim.run_detector(filt, trace, gamma_db=gamma_db,
-                                  epsilon=epsilon, masks=masks,
-                                  transform=transforms[lab])
+        report = reports[lab]
         z_db = np.maximum(report.z_db, DB_FLOOR)
         decision_db = np.maximum(report.decision_db, DB_FLOOR)
         detected = np.zeros(len(interior), dtype=bool)

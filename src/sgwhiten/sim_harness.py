@@ -27,6 +27,7 @@ the Z peak of the medium pulse.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 import math
 
@@ -282,12 +283,17 @@ def run_experiment(scenarios=SCENARIOS, labels=fd.PRESET_LABELS, m: int = 17,
                    l: int = 5, gamma_db: float = DEFAULT_GAMMA_DB,
                    seeds=range(20), amplitude: float = DEFAULT_AMPLITUDE,
                    gap: int | None = None, epsilon: float = DEFAULT_EPSILON,
-                   colored_white_noise: bool = False) -> ExperimentResult:
+                   colored_white_noise: bool = False,
+                   masks: HypothesisMask = DEFAULT_MASKS,
+                   sink=None) -> ExperimentResult:
     """Design the presets once, then sweep scenarios and seeds.
 
     Per seed and filter the medium-pulse peak SNR and the detection pattern
     (which pulses crossed the threshold, whether anything crossed at all) are
-    recorded; aggregation is by fraction of seeds and median peak.
+    recorded; aggregation is by fraction of seeds and median peak.  Every
+    detection uses ``masks``.  ``sink``, if given, is called once per trace
+    after all presets ran on it, as ``sink(trace, filters, reports)``, the
+    dicts mapping each label to its ``DesignedFilter`` and ``DetectionReport``.
     """
     if isinstance(scenarios, str):
         scenarios = (scenarios,)
@@ -308,12 +314,13 @@ def run_experiment(scenarios=SCENARIOS, labels=fd.PRESET_LABELS, m: int = 17,
         for seed in seeds:
             trace = build_trace(scenario, seed, amplitude=amplitude, gap=gap,
                                 colored_white_noise=colored_white_noise)
-            for lab in labels:
-                report = run_detector(filters[lab], trace, gamma_db=gamma_db,
-                                      epsilon=epsilon,
-                                      transform=transforms[lab])
+            reports = {lab: run_detector(filters[lab], trace, gamma_db=gamma_db,
+                                         epsilon=epsilon, masks=masks,
+                                         transform=transforms[lab])
+                       for lab in labels}
+            for lab, report in reports.items():
                 acc = per_label[lab]
-                detected = _detected_kinds(report, trace, half, gamma_db)
+                detected = _detected_kinds(report, trace, half)
                 for kind in detected:
                     acc["kinds"][kind] += 1
                 acc["peaks"].append(
@@ -321,6 +328,8 @@ def run_experiment(scenarios=SCENARIOS, labels=fd.PRESET_LABELS, m: int = 17,
                 acc["med"].append(MEDIUM in detected)
                 acc["any"].append(len(report.events) > 0)
                 acc["nonquad"].append(bool({"square", "sawtooth"} & detected))
+            if sink is not None:
+                sink(trace, filters, reports)
         count = len(seeds)
         for lab in labels:
             acc = per_label[lab]
@@ -336,14 +345,10 @@ def run_experiment(scenarios=SCENARIOS, labels=fd.PRESET_LABELS, m: int = 17,
 
 
 def _detected_kinds(report: DetectionReport, trace: ScenarioTrace,
-                    half: int, gamma_db: float) -> set:
-    detected = set()
-    events = set(report.events.tolist())
-    for pulse in trace.pulses:
-        window = range(pulse.start - half, pulse.stop + half)
-        if events & set(window):
-            detected.add(pulse.kind)
-    return detected
+                    half: int) -> set:
+    events = report.events.tolist()   # ascending, as threshold_detect gives them
+    return {p.kind for p in trace.pulses if bisect_left(events, p.start - half)
+            < bisect_left(events, p.stop + half)}
 
 
 def calibrate_amplitude(target_db: float = 28.5, tol_db: float = 1.0,

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import sgwhiten as sg
+from sgwhiten import filter_design as fd
+from sgwhiten import sim_harness as sim
 from sgwhiten.cli import main, read_csv_column, write_csv
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -52,12 +54,15 @@ class TestDesign:
         assert "'M'" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        # collapse_runs was accepted once but never read.
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"design": {"bogus_key": 1}}))
-        rc = run(["design", "--preset", "A", "--M", 17, "--L", 5,
-                  "--config", config, "--out", tmp_path])
-        assert rc == 2
-        assert "bogus_key" in capsys.readouterr().err
+        for section, key in (("design", "bogus_key"),
+                             ("detector", "collapse_runs")):
+            config.write_text(json.dumps({section: {key: 1}}))
+            rc = run(["design", "--preset", "A", "--M", 17, "--L", 5,
+                      "--config", config, "--out", tmp_path])
+            assert rc == 2
+            assert key in capsys.readouterr().err
 
     def test_custom_noise_model_from_config(self, tmp_path):
         config = tmp_path / "config.json"
@@ -154,10 +159,10 @@ class TestFilterCommand:
 
     def test_wrong_field_count_reports_line(self, tmp_path, filter_a, capsys):
         data = tmp_path / "in.csv"
-        data.write_text("x\n1.0\n2.0,7\n")
+        data.write_text("x\n1.0\n# note, with a comma\n\n2.0,7\n")
         rc = run(["filter", filter_a, "--input", data, "--out", tmp_path])
         assert rc == 4
-        assert "line 3" in capsys.readouterr().err
+        assert "line 5" in capsys.readouterr().err
 
     def test_missing_column(self, tmp_path, filter_a, capsys):
         data = tmp_path / "in.csv"
@@ -230,6 +235,40 @@ class TestSimulate:
         for lab in sg.PRESET_LABELS:
             for col in (f"y_{lab}", f"zdb_{lab}", f"det_{lab}"):
                 assert col in header
+
+    def test_table_uses_configured_masks(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"detector": {
+            "foreground_keep": [1, 2], "background_zero": [0, 1, 2]}}))
+        rc = run(["simulate", "--scenario", "low-white", "--seeds", 3,
+                  "--config", config, "--out", tmp_path])
+        assert rc == 0
+        table = json.loads((tmp_path / "table.json").read_text())
+        docs = [json.loads((tmp_path / f"detections_low-white_seed{s}.json")
+                           .read_text()) for s in range(3)]
+        for lab in sg.PRESET_LABELS:
+            peaks = [doc["filters"][lab]["peak_snr_db"]["quad-medium"]
+                     for doc in docs]
+            assert table["median_peak_db"]["low-white"][lab] \
+                == float(np.median(peaks))
+
+    def test_one_detection_pass(self, tmp_path, monkeypatch):
+        calls = {"detect": 0, "design": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(sim, "run_detector",
+                            counted("detect", sim.run_detector))
+        monkeypatch.setattr(fd, "design_preset",
+                            counted("design", fd.design_preset))
+        rc = run(["simulate", "--scenario", "high-white", "--seeds", 2,
+                  "--out", tmp_path])
+        assert rc == 0
+        assert calls == {"detect": 12, "design": 6}
 
     def test_exit_zero_even_without_detections(self, tmp_path):
         # Detection content is data, not process status.

@@ -40,7 +40,7 @@ for label in sg.PRESET_LABELS:
     with np.errstate(divide="ignore"):
         db = np.maximum(20 * np.log10(mag), -300.0)
     write_csv(out / f"response_{label}.csv", ("omega", "magnitude", "db"),
-              zip(omega, mag, db))
+              (omega, mag, db))
 
 print(f"\nresponse curves written to {out}/response_<label>.csv")
 print("plot db vs omega to see the main lobe, side lobes, and steered nulls;")

@@ -33,7 +33,8 @@ for sigma in (-1e-1, -1e-2, -1e-3, -1e-4, -1e-6):
     edge_db = 20 * math.log10(max(edge, 1e-15))
     rows.append((sigma, edge_db, filt.wng))
     print(f"{sigma:>10.0e} {edge_db:>12.1f} {filt.wng:>8.4f}")
-write_csv(out / "nyquist_damping_sweep.csv", ("sigma", "edge_db", "wng"), rows)
+write_csv(out / "nyquist_damping_sweep.csv", ("sigma", "edge_db", "wng"),
+          zip(*rows))
 
 print("\nWide-band preset F: side-lobe level and WNG vs cut-off")
 print(f"{'f_c':>6} {'sidelobe':>9} {'WNG':>8}")
@@ -43,7 +44,8 @@ for f_c in (0.05, 0.10, 0.15, 0.20):
     side = fd.sidelobe_peak(filt.h)
     rows.append((f_c, side, filt.wng))
     print(f"{f_c:>6.2f} {side:>9.4f} {filt.wng:>8.4f}")
-write_csv(out / "wideband_cutoff_sweep.csv", ("f_c", "sidelobe", "wng"), rows)
+write_csv(out / "wideband_cutoff_sweep.csv", ("f_c", "sidelobe", "wng"),
+          zip(*rows))
 
 plain = sg.design_preset("A")
 near_white = sg.design_preset("F", omega_c=0.01)

@@ -2,9 +2,11 @@
 
 All file formats live here.  CSV files are comma-separated with a header
 row, LF newlines, '#'-prefixed metadata comments, and full-precision floats
-(shortest round-trip representation).  Filter artifacts are JSON documents
+(shortest round-trip representation).  ``write_csv`` takes whole columns and
+formats each by its dtype.  Filter artifacts are JSON documents
 carrying the complete design provenance, so reloading one reproduces the
-in-memory values exactly.
+in-memory values exactly; a file whose taps are not M finite numbers for an
+odd M is rejected.
 
 Configuration is a single JSON object with one section per concern
 ("design", "detector", "scenario", "output"); unknown keys are rejected.
@@ -71,24 +73,28 @@ def load_config(path: str | Path) -> dict:
     return raw
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+_FORMATS = {"b": lambda v: "1" if v else "0", "i": str, "u": str, "f": repr, "U": str}
+_CHUNK_ROWS = 4096  # rows converted at a time, so memory does not grow with the file
 
 
-def write_csv(path: Path, header, rows, comments=()) -> None:
+def write_csv(path: Path, header, columns, comments=()) -> None:
+    """Write equal-length ``columns`` under ``header``, each formatted by its
+    dtype: bool as 1/0, integers with ``str``, floats with ``repr``."""
+    columns = [np.asarray(col) for col in columns]
+    lengths = {len(col) for col in columns}
+    if len(columns) != len(header) or len(lengths) > 1:
+        raise ValueError(f"{path}: {len(header)} header fields but columns of "
+                         f"lengths {[len(col) for col in columns]}")
+    formats = [_FORMATS[col.dtype.kind] for col in columns]
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, max(lengths, default=0), _CHUNK_ROWS):
+            fields = [map(fmt, col[start:start + _CHUNK_ROWS].tolist())
+                      for fmt, col in zip(formats, columns)]
+            fh.writelines(",".join(row) + "\n" for row in zip(*fields))
 
 
 def read_csv_column(path: Path, column: str):
@@ -157,18 +163,29 @@ def load_filter_file(path: str | Path) -> dict:
     for key in ("M", "L", "d", "h"):
         if key not in doc:
             raise FileFormatError(f"filter file {path} is missing key {key!r}")
-    doc["h"] = np.asarray(doc["h"], dtype=float)
+    m = doc["M"]
+    try:
+        h = np.asarray(doc["h"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"filter file {path}: taps are not numbers") from exc
+    if not isinstance(m, int) or m % 2 == 0:
+        raise FileFormatError(f"filter file {path}: M={m!r} is not an odd integer")
+    if h.shape != (m,):
+        raise FileFormatError(f"filter file {path}: {h.size} taps for M={m}")
+    if not np.all(np.isfinite(h)):
+        raise FileFormatError(f"filter file {path}: taps are not all finite")
+    doc["h"] = h
     return doc
 
 
 def write_detection_csv(report, path: Path) -> None:
     """Serialize a detection report: one row per analyzed center sample."""
-    z_db = np.maximum(report.z_db, DB_FLOOR)
-    decision_db = np.maximum(report.decision_db, DB_FLOOR)
-    events = set(report.events.tolist())
     n = np.arange(report.offset, report.offset + len(report.z))
-    rows = zip(n, report.z, z_db, decision_db, (int(i) in events for i in n))
-    write_csv(path, ("n", "z", "z_db", "decision_db", "detected"), rows,
+    detected = np.zeros(len(n), dtype=bool)
+    detected[report.events - report.offset] = True
+    write_csv(path, ("n", "z", "z_db", "decision_db", "detected"),
+              (n, report.z, np.maximum(report.z_db, DB_FLOOR),
+               np.maximum(report.decision_db, DB_FLOOR), detected),
               comments=(f"gamma_db={report.gamma_db} offset={report.offset}",))
 
 
@@ -228,7 +245,7 @@ def cmd_response(args, config) -> int:
     if fmt == "csv":
         out = out_dir / f"response_{label}.csv"
         write_csv(out, ("omega", "magnitude", "power", "db"),
-                  zip(omega, mag, power, db),
+                  (omega, mag, power, db),
                   comments=(f"label={label} M={doc['M']} L={doc['L']} d={doc['d']}",))
     elif fmt == "json":
         out = out_dir / f"response_{label}.json"
@@ -261,10 +278,8 @@ def cmd_filter(args, config) -> int:
     filtered = convolve(seq, taps)
     k = (len(taps) - 1) // 2
     out = _out_dir(args, config) / "filtered.csv"
-    rows = zip(range(filtered.start, filtered.start + len(filtered)),
-               x[filtered.start:filtered.start + len(filtered)],
-               filtered.values)
-    write_csv(out, ("n", "x", "y"), rows,
+    n = np.arange(filtered.start, filtered.start + len(filtered))
+    write_csv(out, ("n", "x", "y"), (n, x[n], filtered.values),
               comments=(f"label={doc.get('label', 'custom')} "
                         f"M={doc['M']} d={args.d if args.d is not None else doc['d']}",
                         f"group_delay={k}; y[n] estimates the window centered "
@@ -355,7 +370,7 @@ def _write_seed_outputs(out_dir, gamma_db, m, trace, filters, reports) -> None:
                             zip(trace.pulses, report.peak_snr_db)},
         }
     stem = f"{trace.name}_seed{trace.seed}"
-    write_csv(out_dir / f"trace_{stem}.csv", header, zip(*columns),
+    write_csv(out_dir / f"trace_{stem}.csv", header, columns,
               comments=(f"scenario={trace.name} seed={trace.seed} "
                         f"amplitude={trace.amplitude} gamma_db={gamma_db}",
                         f"rows are window centers; group delay {k} compensated",))
@@ -367,9 +382,9 @@ def _write_seed_outputs(out_dir, gamma_db, m, trace, filters, reports) -> None:
 
 def _write_table(out_dir, result, fmt) -> None:
     table = result.table()
-    rows = [[name] + [table[name][lab] for lab in result.labels]
-            for name in result.scenarios]
-    write_csv(out_dir / "table.csv", ["scenario"] + list(result.labels), rows,
+    columns = [result.scenarios] + [[table[name][lab] for name in result.scenarios]
+                                    for lab in result.labels]
+    write_csv(out_dir / "table.csv", ["scenario"] + list(result.labels), columns,
               comments=(f"median medium-pulse peak SNR (dB) across "
                         f"{len(result.seeds)} seeds, amplitude="
                         f"{result.amplitude}, gamma_db={result.gamma_db}",))

@@ -12,13 +12,71 @@ import pytest
 import sgwhiten as sg
 from sgwhiten import filter_design as fd
 from sgwhiten import sim_harness as sim
-from sgwhiten.cli import main, read_csv_column, write_csv
+from sgwhiten.cli import main, read_csv_column, write_csv, write_detection_csv
+from sgwhiten.detector import DB_FLOOR
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def _fmt_reference(value) -> str:
+    """The row writer's per-value formatting, kept as the byte reference."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def write_rows_reference(path, header, rows, comments=()):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt_reference(v) for v in row) + "\n")
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("repeats", [1, 900])
+    def test_bytes_match_row_writer(self, tmp_path, repeats):
+        # 900 repeats give 9900 rows, more than two of the writer's row blocks.
+        floats = np.tile([0.1, -0.0, np.inf, -np.inf, np.nan, 1e-300, 5e-324,
+                          2.2250738585072014e-308 / 3, DB_FLOOR, 1 / 3,
+                          -12345.678901234567], repeats)
+        n = len(floats)
+        columns = [np.arange(n), list(range(100, 100 + n)), floats,
+                   floats.astype(np.float32), np.arange(n) % 3 == 0,
+                   [f"s{i}" for i in range(n)],
+                   (np.arange(n) % 256).astype(np.uint8)]
+        header = ("a", "b", "c", "d", "e", "f", "g")
+        comments = ("first comment", "second, with a comma")
+        write_csv(tmp_path / "cols.csv", header, columns, comments=comments)
+        write_rows_reference(tmp_path / "rows.csv", header, zip(*columns),
+                             comments=comments)
+        assert (tmp_path / "cols.csv").read_bytes() \
+            == (tmp_path / "rows.csv").read_bytes()
+
+    def test_empty_columns_write_header_only(self, tmp_path):
+        write_csv(tmp_path / "empty.csv", ("x", "y"), [[], []])
+        assert (tmp_path / "empty.csv").read_bytes() == b"x,y\n"
+
+    @pytest.mark.parametrize("header, columns", [
+        (("x", "y"), [np.arange(4), np.arange(5.0)]),
+        (("x", "y", "z"), [np.arange(4), np.arange(4.0)]),
+        (("x",), [np.arange(4), np.arange(4.0)]),
+    ], ids=["column-lengths", "too-few-columns", "too-many-columns"])
+    def test_shape_mismatch_rejected_before_writing(self, tmp_path, header,
+                                                    columns):
+        path = tmp_path / "sub" / "out.csv"
+        with pytest.raises(ValueError, match="header fields"):
+            write_csv(path, header, columns)
+        assert not path.parent.exists()
 
 
 class TestDesign:
@@ -138,7 +196,7 @@ class TestFilterCommand:
 
     def test_constant_passthrough(self, tmp_path, filter_a):
         data = tmp_path / "in.csv"
-        write_csv(data, ("x",), [(3.25,)] * 40)
+        write_csv(data, ("x",), [[3.25] * 40])
         rc = run(["filter", filter_a, "--input", data, "--out", tmp_path])
         assert rc == 0
         y = read_csv_column(tmp_path / "filtered.csv", "y")
@@ -147,7 +205,7 @@ class TestFilterCommand:
 
     def test_short_input_rejected(self, tmp_path, filter_a):
         data = tmp_path / "in.csv"
-        write_csv(data, ("x",), [(1.0,)] * 10)
+        write_csv(data, ("x",), [[1.0] * 10])
         assert run(["filter", filter_a, "--input", data, "--out", tmp_path]) == 2
 
     def test_malformed_row_reports_line(self, tmp_path, filter_a, capsys):
@@ -166,10 +224,32 @@ class TestFilterCommand:
 
     def test_missing_column(self, tmp_path, filter_a, capsys):
         data = tmp_path / "in.csv"
-        write_csv(data, ("value",), [(1.0,)] * 20)
+        write_csv(data, ("value",), [[1.0] * 20])
         rc = run(["filter", filter_a, "--input", data, "--out", tmp_path])
         assert rc == 4
         assert "'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["taps-length", "even-M", "non-finite",
+                                      "non-numeric"])
+    def test_bad_filter_file_rejected(self, tmp_path, case, capsys):
+        doc = json.loads((GOLDEN / "filter_A.json").read_text())
+        if case == "taps-length":
+            doc["h"] = doc["h"][:-2]
+        elif case == "even-M":
+            doc["M"] = 16
+            doc["h"] = doc["h"][:16]
+        elif case == "non-finite":
+            doc["h"][3] = float("nan")
+        else:
+            doc["h"][3] = "tap"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        data = tmp_path / "in.csv"
+        write_csv(data, ("x",), [np.arange(40.0)])
+        rc = run(["filter", bad, "--input", data, "--out", tmp_path])
+        assert rc == 4
+        assert "file error" in capsys.readouterr().err
+        assert not (tmp_path / "filtered.csv").exists()
 
     def test_golden_output_bytes(self, tmp_path):
         rc = run(["filter", GOLDEN / "filter_A.json",
@@ -181,7 +261,7 @@ class TestFilterCommand:
 
     def test_derivative_flag_rederives_taps(self, tmp_path, filter_a):
         data = tmp_path / "in.csv"
-        write_csv(data, ("x",), [(float(i),) for i in range(40)])
+        write_csv(data, ("x",), [np.arange(40.0)])
         rc = run(["filter", filter_a, "--input", data, "--d", 1,
                   "--out", tmp_path])
         assert rc == 0
@@ -279,8 +359,6 @@ class TestSimulate:
 
 class TestDetectionCsv:
     def test_schema_and_roundtrip(self, tmp_path, presets):
-        from sgwhiten.cli import write_detection_csv
-
         trace = sg.build_trace("low-white", seed=2, amplitude=10.0)
         report = sg.run_detector(presets["A"], trace)
         path = tmp_path / "detections.csv"
@@ -294,9 +372,23 @@ class TestDetectionCsv:
         flagged = np.nonzero(detected)[0] + report.offset
         assert np.array_equal(flagged, report.events)
 
-    def test_decision_column_explains_flags(self, tmp_path, presets):
-        from sgwhiten.cli import write_detection_csv
+    def test_bytes_match_row_writer(self, tmp_path, presets):
+        trace = sg.build_trace("low-white", seed=2, amplitude=10.0)
+        report = sg.run_detector(presets["A"], trace)
+        assert len(report.events) > 0
+        write_detection_csv(report, tmp_path / "cols.csv")
+        events = set(report.events.tolist())
+        n = np.arange(report.offset, report.offset + len(report.z))
+        rows = zip(n, report.z, np.maximum(report.z_db, DB_FLOOR),
+                   np.maximum(report.decision_db, DB_FLOOR),
+                   (int(i) in events for i in n))
+        write_rows_reference(
+            tmp_path / "rows.csv", ("n", "z", "z_db", "decision_db", "detected"),
+            rows, comments=(f"gamma_db={report.gamma_db} offset={report.offset}",))
+        assert (tmp_path / "cols.csv").read_bytes() \
+            == (tmp_path / "rows.csv").read_bytes()
 
+    def test_decision_column_explains_flags(self, tmp_path, presets):
         trace = sg.build_trace("mismatched-colored", seed=8, amplitude=10.0)
         report = sg.run_detector(presets["F"], trace)
         path = tmp_path / "detections.csv"

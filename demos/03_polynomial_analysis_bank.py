@@ -4,8 +4,8 @@
 A designed filter is one row of a bank H whose rows estimate all L monomial
 coefficients around every sample.  This demo runs the bank over a noisy
 quadratic pulse, shows the quadratic coefficient lighting up at the pulse
-center, reconstructs the fitted segment, and confirms the streaming wrapper
-reproduces batch results bit for bit.
+center, reconstructs the fitted segment, and confirms that the streaming
+wrapper, fed uneven chunks, reproduces batch results bit for bit.
 
 Run:  python demos/03_polynomial_analysis_bank.py
 """
@@ -43,6 +43,8 @@ print(f"quadratic-coefficient trace: min {curvature.min():+.4f} at center "
       f"{np.argmin(curvature) + feats.offset} (pulse center {center})")
 
 stream = StreamingBank(filt.operators.h_matrix)
-collected = np.array([out for s in x if (out := stream.push(s)) is not None])
-print("streaming wrapper identical to batch:",
+cuts = [5, 12, 13, 40, 70]
+collected = np.concatenate([stream.push(chunk) for chunk in np.split(x, cuts)])
+print(f"streaming wrapper, chunks of {np.diff([0, *cuts, len(x)]).tolist()} "
+      f"samples, identical to batch:",
       bool(np.array_equal(collected, feats.coeffs)))

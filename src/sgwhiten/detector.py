@@ -50,16 +50,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .analysis_bank import FeatureSeries
+from .analysis_bank import FeatureSeries, window_products
 from .errors import NotPositiveDefiniteError
 
 DEFAULT_EPSILON = 1e-3
 DEFAULT_GAMMA_DB = 20.0
-
-# Windows per block in residual_power; bounds its working memory on long inputs.
-RESIDUAL_BLOCK = 1 << 16
 
 # Decibel floor applied when serializing; in-memory values may be -inf.
 DB_FLOOR = -300.0
@@ -234,19 +230,15 @@ def residual_power(samples: np.ndarray, transform: OrthoTransform) -> np.ndarray
     window, aligned with the bank's feature series over the same samples.
 
     Each window goes through the M - L columns of the transform's residual
-    factor and the outputs are squared and summed.  Windows are taken in
-    blocks, so the working memory does not grow with the input length.
+    factor, by the bank's window kernel, and the outputs are squared and
+    summed.
     """
     x = np.asarray(samples, dtype=float)
     m = transform.w_scaled.shape[0]
     if len(x) < m:
         raise ValueError(f"input length {len(x)} is shorter than the window {m}")
-    windows = sliding_window_view(x, m)
-    power = np.empty(len(windows))
-    for start in range(0, len(windows), RESIDUAL_BLOCK):
-        out = windows[start:start + RESIDUAL_BLOCK] @ transform.residual_factor
-        power[start:start + RESIDUAL_BLOCK] = np.einsum("nk,nk->n", out, out)
-    return power
+    out = window_products(x, transform.residual_factor)
+    return np.einsum("nk,nk->n", out, out)
 
 
 def noise_share(transform: OrthoTransform,
@@ -295,24 +287,9 @@ def to_decibels(z: np.ndarray, floor_db: float | None = None) -> np.ndarray:
 
 
 def threshold_detect(z_db: np.ndarray, gamma_db: float = DEFAULT_GAMMA_DB,
-                     offset: int = 0, collapse_runs: bool = False) -> np.ndarray:
-    """Absolute sample indices where the statistic exceeds the threshold.
-
-    With ``collapse_runs`` each contiguous run of crossings is reduced to its
-    peak sample; by default every crossing sample is reported.
-    """
-    above = np.asarray(z_db) > gamma_db
-    idx = np.nonzero(above)[0]
-    if collapse_runs and len(idx):
-        keep = []
-        run_start = 0
-        for i in range(1, len(idx) + 1):
-            if i == len(idx) or idx[i] != idx[i - 1] + 1:
-                run = idx[run_start:i]
-                keep.append(run[np.argmax(z_db[run])])
-                run_start = i
-        idx = np.asarray(keep)
-    return idx + offset
+                     offset: int = 0) -> np.ndarray:
+    """Absolute sample indices where the statistic exceeds the threshold."""
+    return np.nonzero(np.asarray(z_db) > gamma_db)[0] + offset
 
 
 def peak_snr(z_db: np.ndarray, extents, offset: int, half_window: int) -> list[float]:
@@ -340,8 +317,7 @@ def detect(features: FeatureSeries, transform: OrthoTransform,
            masks: HypothesisMask = DEFAULT_MASKS,
            epsilon: float = DEFAULT_EPSILON,
            gamma_db: float = DEFAULT_GAMMA_DB,
-           pulse_extents=None, half_window: int | None = None,
-           collapse_runs: bool = False) -> DetectionReport:
+           pulse_extents=None, half_window: int | None = None) -> DetectionReport:
     """Run both statistics, threshold D, and assemble a report.
 
     ``residual`` is the ``residual_power`` series of the samples behind
@@ -358,8 +334,7 @@ def detect(features: FeatureSeries, transform: OrthoTransform,
     z_db = to_decibels(z)
     noise = noise_share(transform, masks) * residual
     decision_db = to_decibels(np.maximum(p1 - noise, 0.0) / denominator)
-    events = threshold_detect(decision_db, gamma_db, offset=features.offset,
-                              collapse_runs=collapse_runs)
+    events = threshold_detect(decision_db, gamma_db, offset=features.offset)
     peaks: tuple = ()
     if pulse_extents is not None:
         if half_window is None:

@@ -6,13 +6,40 @@ import numpy as np
 import pytest
 
 import sgwhiten as sg
-from sgwhiten.analysis_bank import (SampleSequence, StreamingBank,
-                                    analyze, convolve, run_bank, synthesize)
+from sgwhiten.analysis_bank import (SampleSequence, StreamingBank, analyze,
+                                    convolve, run_bank, slab_shape, synthesize)
+
+# (preset, M) pairs the kernel tests cover: every preset at the default
+# width, a dense and a banded metric at M = 65, and the widest bank.
+BANKS = [(label, 17) for label in sg.PRESET_LABELS] + [("C", 65), ("E", 65),
+                                                       ("E", 257)]
 
 
 @pytest.fixture(scope="module")
 def plain():
     return sg.design_preset("A")
+
+
+@pytest.fixture(scope="module")
+def banks():
+    return {(label, m): sg.design_preset(label, m=m) for label, m in BANKS}
+
+
+def block_windows(m):
+    """Windows per copied block of the kernel for an L = 5 bank of width M."""
+    rows, per_block = slab_shape(m, 5)
+    return rows * per_block
+
+
+def chunked(stream, x, sizes):
+    """Push x through the stream in chunks of the given sizes, cycling them;
+    return the concatenated rows."""
+    rows, pos, i = [], 0, 0
+    while pos < len(x):
+        rows.append(stream.push(x[pos:pos + sizes[i % len(sizes)]]))
+        pos += sizes[i % len(sizes)]
+        i += 1
+    return np.concatenate(rows)
 
 
 class TestSampleSequence:
@@ -171,19 +198,62 @@ class TestRunBank:
         with pytest.raises(ValueError):
             run_bank(SampleSequence(values=np.zeros(10)), plain.operators.h_matrix)
 
+    @pytest.mark.parametrize("label, m", BANKS)
+    def test_matches_convolution_within_round_off(self, label, m, banks, rng):
+        # Each row against an independent per-row np.convolve, within the
+        # round-off bound of two length-M sums: 2 gamma_M sum |h||x|.
+        h_matrix = banks[label, m].operators.h_matrix
+        gamma = m * 2.0 ** -53 / (1 - m * 2.0 ** -53)
+        # One window, two, and a last block that holds a single window.
+        for n in (m, m + 1, block_windows(m) + m):
+            x = rng.normal(size=n)
+            feats = run_bank(SampleSequence(values=x), h_matrix)
+            assert feats.coeffs.shape == (n - m + 1, h_matrix.shape[0])
+            for row, taps in enumerate(h_matrix):
+                expected = np.convolve(x, taps[::-1], mode="valid")
+                bound = 2 * gamma * np.convolve(np.abs(x), np.abs(taps[::-1]),
+                                                mode="valid")
+                assert np.all(np.abs(feats.coeffs[:, row] - expected) <= bound)
+
+    @pytest.mark.parametrize("label, m", [("A", 17), ("E", 257)])
+    def test_every_row_equals_its_window_alone(self, label, m, banks, rng):
+        h_matrix = banks[label, m].operators.h_matrix
+        x = rng.normal(size=block_windows(m) + slab_shape(m, 5)[0] + m)
+        feats = run_bank(SampleSequence(values=x), h_matrix)
+        for i, row in enumerate(feats.coeffs):
+            assert np.array_equal(analyze(x[i:i + m], h_matrix), row), i
+
 
 class TestStreaming:
     def test_identical_to_batch(self, plain, rng):
         x = rng.normal(size=123)
         batch = run_bank(SampleSequence(values=x), plain.operators.h_matrix)
         stream = StreamingBank(plain.operators.h_matrix)
-        collected = [out for s in x if (out := stream.push(s)) is not None]
+        collected = np.concatenate([stream.push(s) for s in x])
         assert len(collected) == len(batch)
-        assert np.array_equal(np.array(collected), batch.coeffs)
+        assert np.array_equal(collected, batch.coeffs)
+
+    @pytest.mark.parametrize("label, m", [("A", 17), ("E", 17), ("F", 17),
+                                          ("C", 65), ("E", 257)])
+    def test_random_chunkings_equal_batch(self, label, m, banks):
+        # 20 chunkings per bank, chunk sizes log-uniform over 1..5000 so that
+        # chunks shorter than the window occur as well as multi-block ones.
+        h_matrix = banks[label, m].operators.h_matrix
+        rng = np.random.default_rng(m)
+        x = rng.normal(size=20000)
+        batch = run_bank(SampleSequence(values=x), h_matrix).coeffs
+        for _ in range(20):
+            sizes = np.exp(rng.uniform(0, np.log(5000), size=64)).astype(int)
+            assert np.array_equal(chunked(StreamingBank(h_matrix), x, sizes),
+                                  batch)
 
     def test_reset(self, plain):
         stream = StreamingBank(plain.operators.h_matrix)
         for s in range(17):
             stream.push(float(s))
         stream.reset()
-        assert stream.push(0.0) is None
+        assert stream.push(0.0).shape == (0, 5)
+
+    def test_rejects_two_dimensional_chunk(self, plain):
+        with pytest.raises(ValueError):
+            StreamingBank(plain.operators.h_matrix).push(np.zeros((2, 17)))

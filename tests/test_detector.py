@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import sgwhiten as sg
-from sgwhiten.analysis_bank import FeatureSeries, SampleSequence, run_bank
+from sgwhiten.analysis_bank import (BLOCK_BYTES, FeatureSeries, SampleSequence,
+                                    run_bank)
 from sgwhiten.detector import (DEFAULT_MASKS, HypothesisMask, build_ortho_transform,
                                compute_statistic, detect, noise_share, peak_snr,
                                residual_power, threshold_detect, to_decibels)
@@ -171,13 +172,15 @@ class TestNoiseCorrection:
                                                      transforms, rng):
         filt = presets[label]
         tr = transforms[label]
-        x = rng.normal(size=60) + 0.01 * np.arange(60.0) ** 2
-        feats = run_bank(SampleSequence(values=x), filt.operators.h_matrix)
-        windows = np.lib.stride_tricks.sliding_window_view(x, 17)
-        e = windows - feats.coeffs @ filt.operators.psi.T
-        direct = np.einsum("nm,mk,nk->n", e, tr.w_scaled, e)
-        total = np.einsum("nm,mk,nk->n", windows, tr.w_scaled, windows)
-        assert np.abs(residual_power(x, tr) - direct).max() <= 1e-9 * total.max()
+        # A short input, and one that spans three of the kernel's blocks.
+        for n in (60, 3 * BLOCK_BYTES // (8 * 17)):
+            x = rng.normal(size=n) + 0.01 * (np.arange(n) % 60.0) ** 2
+            feats = run_bank(SampleSequence(values=x), filt.operators.h_matrix)
+            windows = np.lib.stride_tricks.sliding_window_view(x, 17)
+            e = windows - feats.coeffs @ filt.operators.psi.T
+            direct = np.einsum("nm,mk,nk->n", e, tr.w_scaled, e)
+            total = np.einsum("nm,mk,nk->n", windows, tr.w_scaled, windows)
+            assert np.abs(residual_power(x, tr) - direct).max() <= 1e-9 * total.max()
 
     @pytest.mark.parametrize("label", ["A", "B", "C", "F"])
     def test_noise_share_is_unbiased_under_the_model(self, label, presets,
@@ -251,11 +254,6 @@ class TestThreshold:
         z_db = np.array([0.0, 25.0, 30.0, 0.0])
         events = threshold_detect(z_db, 20.0, offset=100)
         assert np.array_equal(events, [101, 102])
-
-    def test_collapse_runs(self):
-        z_db = np.array([0, 25, 30, 22, 0, 0, 21, 0.0])
-        events = threshold_detect(z_db, 20.0, collapse_runs=True)
-        assert np.array_equal(events, [2, 6])
 
     def test_default_reports_every_crossing(self):
         z_db = np.array([0, 25, 30, 22, 0.0])

@@ -31,8 +31,7 @@ print(f"{'preset':>6} {'WNG':>8} {'first null':>11} {'condition':>11}  weight so
 for label in sg.PRESET_LABELS:
     filt = sg.design_preset(label)
     null = "-" if filt.omega_delta is None else f"{filt.omega_delta:.4f}"
-    cond = "-" if filt.condition is None else f"{filt.condition:.2e}"
-    print(f"{label:>6} {filt.wng:8.4f} {null:>11} {cond:>11}  "
+    print(f"{label:>6} {filt.wng:8.4f} {null:>11} {filt.condition:>11.2e}  "
           f"{filt.operators.weight.provenance}")
 
     omega, resp = sg.frequency_response(filt.h, 2048)

@@ -178,17 +178,6 @@ def load_filter_file(path: str | Path) -> dict:
     return doc
 
 
-def write_detection_csv(report, path: Path) -> None:
-    """Serialize a detection report: one row per analyzed center sample."""
-    n = np.arange(report.offset, report.offset + len(report.z))
-    detected = np.zeros(len(n), dtype=bool)
-    detected[report.events - report.offset] = True
-    write_csv(path, ("n", "z", "z_db", "decision_db", "detected"),
-              (n, report.z, np.maximum(report.z_db, DB_FLOOR),
-               np.maximum(report.decision_db, DB_FLOOR), detected),
-              comments=(f"gamma_db={report.gamma_db} offset={report.offset}",))
-
-
 def _require(config_value, flag_value, name: str):
     value = flag_value if flag_value is not None else config_value
     if value is None:

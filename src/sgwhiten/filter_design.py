@@ -58,12 +58,12 @@ class DesignSpec:
             raise ValueError("derivative order d must satisfy 0 <= d < L")
         if self.ts <= 0:
             raise ValueError("sampling period must be positive")
-        if self.noise.kind == "narrow-band":
-            limit = self.half_length + 1 - ((self.l - 1) // 2 + 1)
-            if len(self.noise.poles) > limit:
-                raise ValueError(
-                    f"narrow-band pole count {len(self.noise.poles)} exceeds the "
-                    f"{limit} spare degrees of freedom at M={self.m}, L={self.l}")
+        # Only narrow-band models carry poles; L <= M keeps the limit >= 0.
+        limit = self.half_length + 1 - ((self.l - 1) // 2 + 1)
+        if len(self.noise.poles) > limit:
+            raise ValueError(
+                f"narrow-band pole count {len(self.noise.poles)} exceeds the "
+                f"{limit} spare degrees of freedom at M={self.m}, L={self.l}")
 
     @property
     def half_length(self) -> int:
@@ -95,7 +95,7 @@ class DesignedFilter:
     operators: RegressionOperators
     wng: float
     omega_delta: float | None
-    condition: float | None
+    condition: float
     label: str = "custom"
     spec: DesignSpec | None = None
 
@@ -206,12 +206,8 @@ def frequency_response(h: np.ndarray, grid_size: int = 4096):
     """
     if grid_size < 2:
         raise ValueError("grid must have at least 2 points")
-    taps = np.asarray(h, dtype=float)
-    k = (len(taps) - 1) // 2
-    shifts = np.arange(-k, k + 1)
     omega = np.linspace(0.0, math.pi, grid_size)
-    response = np.exp(-1j * np.outer(omega, shifts)) @ taps
-    return omega, response
+    return omega, response_at(h, omega)
 
 
 def response_at(h: np.ndarray, omega) -> np.ndarray:
@@ -321,14 +317,8 @@ def design(spec: DesignSpec, label: str = "custom") -> DesignedFilter:
     deriv = derivative_operator(spec.l, spec.d, spec.ts)
     weight = nm.weight_matrix(spec.noise, spec.m)
 
-    diagonal = weight.provenance in ("identity", "diagonal-kernel")
-    if diagonal:
-        condition = _diagonal_condition(weight.matrix)
-    else:
-        condition = weight.condition
-
     h_matrix = solve_weighted_ls(weight.matrix, psi)
-    if diagonal or condition is None or condition <= KKT_CONDITION_LIMIT:
+    if weight.provenance != "inverse-toeplitz" or weight.condition <= KKT_CONDITION_LIMIT:
         taps = extract_coefficients(h_matrix, deriv, spec.d, mu)
     else:
         r_matrix = nm.correlation_matrix(spec.noise, spec.m)
@@ -349,14 +339,8 @@ def design(spec: DesignSpec, label: str = "custom") -> DesignedFilter:
         # The dc-relative grid fallback is meaningless when H(0) = 0.
         omega_delta = first_null_frequency(taps, method="roots")
     return DesignedFilter(h=taps, operators=operators, wng=white_noise_gain(taps),
-                          omega_delta=omega_delta, condition=condition,
+                          omega_delta=omega_delta, condition=weight.condition,
                           label=label, spec=spec)
-
-
-def _diagonal_condition(w: np.ndarray) -> float:
-    diag = np.diag(w)
-    low = diag.min()
-    return math.inf if low == 0.0 else float(diag.max() / low)
 
 
 def design_preset(label: str, m: int = 17, l: int = 5, d: int = 0,

@@ -13,6 +13,11 @@ filter solvers.  Supported families:
 * narrow-band      -- sum of lightly damped cosines, one per pole pair
 * wide-band        -- unit spectral density on [omega_c, omega_d], zero outside
 
+Each family is one entry of the ``_KINDS`` table: its fields in serialized
+order, its autocorrelation builder and its weight route.  The value checks
+live in the public builders alone, so a new family is one table entry plus
+its builder.
+
 Overall scale of R is irrelevant: inversion removes it, only the spectral
 shape matters.
 """
@@ -21,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+import numbers
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,16 +40,14 @@ RESIDUAL_TOL = 1e-6
 # covers inputs quoted to a few decimals (e.g. 3.1416).
 ALIAS_TOL = 1e-4
 
-_KINDS = ("white", "gaussian-kernel", "gauss-markov", "nyquist",
-          "narrow-band", "wide-band")
-
 
 @dataclass(frozen=True)
 class NoiseModel:
     """Declarative description of a noise process.
 
-    Use the classmethod constructors rather than filling fields by hand;
-    they validate the parameter set for each family.
+    Use the classmethod constructors rather than filling fields by hand.
+    Construction checks the kind, ts and that the family's fields are
+    present, then builds lag 0 so that the family's builder checks the values.
     """
 
     kind: str
@@ -54,33 +59,19 @@ class NoiseModel:
     omega_d: float | None = None            # radians/sample
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        family = _KINDS.get(self.kind)
+        if family is None:
             raise ValueError(f"unknown noise model kind {self.kind!r}")
-        if self.ts <= 0:
+        if not self.ts > 0:
             raise ValueError("sampling period must be positive")
-        if self.kind in ("gaussian-kernel", "gauss-markov"):
-            if self.lam is None or self.lam <= 0:
-                raise ValueError(f"{self.kind} model needs lam > 0")
-        if self.kind == "nyquist":
-            if self.sigma is None or self.sigma >= 0:
-                raise ValueError("nyquist model needs sigma < 0 for causal stability")
-        if self.kind == "narrow-band":
-            if not self.poles:
-                raise ValueError("narrow-band model needs at least one pole")
-            for sig, omega in self.poles:
-                if sig >= 0:
-                    raise ValueError("pole damping sigma must be < 0 for causal stability")
-                w = omega * self.ts
-                if not 0 < w <= math.pi + ALIAS_TOL:
-                    raise ValueError(
-                        f"pole frequency Omega*Ts = {w:.4g} outside (0, pi]; aliased")
-        if self.kind == "wide-band":
-            if self.omega_c is None or self.omega_d is None:
-                raise ValueError("wide-band model needs omega_c and omega_d")
-            if not 0 < self.omega_c < self.omega_d:
-                raise ValueError("wide-band model needs 0 < omega_c < omega_d")
-            if self.omega_d > math.pi:
-                raise ValueError("omega_d may not exceed pi (Nyquist)")
+        missing = [name for name in family.fields if getattr(self, name) in (None, ())]
+        if missing:
+            raise ValueError(f"{self.kind} model needs {' and '.join(missing)}")
+        # The builders hold the value checks: building lag 0 runs them.
+        if family.autocorr is None:
+            gaussian_kernel_weights(self.lam, 0)
+        else:
+            family.autocorr(self, 0)
 
     @classmethod
     def white(cls, ts: float = 1.0) -> "NoiseModel":
@@ -111,46 +102,39 @@ class NoiseModel:
     def to_dict(self) -> dict:
         """JSON-ready representation; inverse of from_dict."""
         out: dict = {"kind": self.kind, "ts": self.ts}
-        if self.kind in ("gaussian-kernel", "gauss-markov"):
-            out["lam"] = self.lam
-        elif self.kind == "nyquist":
-            out["sigma"] = self.sigma
-        elif self.kind == "narrow-band":
-            out["poles"] = [{"sigma": s, "omega": w} for s, w in self.poles]
-        elif self.kind == "wide-band":
-            out["omega_c"] = self.omega_c
-            out["omega_d"] = self.omega_d
+        for name in _KINDS[self.kind].fields:
+            value = getattr(self, name)
+            out[name] = ([{"sigma": s, "omega": w} for s, w in value]
+                         if name == "poles" else value)
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "NoiseModel":
+        """Model from its to_dict form; any malformed document is a ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"noise model must be an object, got {data!r}")
         data = dict(data)
         kind = data.pop("kind", None)
-        ts = data.pop("ts", 1.0)
-        if kind == "white":
-            extra = data
-        elif kind in ("gaussian-kernel", "gauss-markov"):
-            lam = data.pop("lam", None)
-            return _checked(cls(kind=kind, lam=lam, ts=ts), data)
-        elif kind == "nyquist":
-            sigma = data.pop("sigma", None)
-            return _checked(cls(kind=kind, sigma=sigma, ts=ts), data)
-        elif kind == "narrow-band":
-            poles = tuple((p["sigma"], p["omega"]) for p in data.pop("poles", []))
-            return _checked(cls(kind=kind, poles=poles, ts=ts), data)
-        elif kind == "wide-band":
-            oc = data.pop("omega_c", None)
-            od = data.pop("omega_d", None)
-            return _checked(cls(kind=kind, omega_c=oc, omega_d=od, ts=ts), data)
-        else:
+        if not isinstance(kind, str) or kind not in _KINDS:
             raise ValueError(f"unknown noise model kind {kind!r}")
-        return _checked(cls(kind="white", ts=ts), extra)
+        values = {name: _field(name, data.pop(name))
+                  for name in ("ts",) + _KINDS[kind].fields if name in data}
+        if data:
+            raise ValueError(f"unknown noise model keys: {sorted(data)}")
+        return cls(kind=kind, **values)
 
 
-def _checked(model: NoiseModel, leftovers: dict) -> NoiseModel:
-    if leftovers:
-        raise ValueError(f"unknown noise model keys: {sorted(leftovers)}")
-    return model
+def _field(name: str, value):
+    """A serialized field, type-checked: a real number, or poles as objects."""
+    if name == "poles":
+        if not isinstance(value, list) or not all(
+                isinstance(p, dict) and set(p) == {"sigma", "omega"} for p in value):
+            raise ValueError("poles must be a list of {sigma, omega} objects")
+        return tuple((_field("sigma", p["sigma"]), _field("omega", p["omega"]))
+                     for p in value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"noise model field {name!r} must be a number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -179,8 +163,10 @@ class AutocorrSequence:
 class WeightMatrix:
     """Symmetric weight matrix with provenance and conditioning metadata.
 
-    ``condition`` is the condition number of the source autocorrelation
-    matrix when provenance is ``inverse-toeplitz``, else None.
+    ``condition`` is always set.  ``inverse-toeplitz`` weights are given the
+    condition number of their source autocorrelation matrix; diagonal ones
+    take the ratio of their largest to smallest diagonal entry (1.0 for the
+    identity, inf when an entry is zero).
     """
 
     matrix: np.ndarray
@@ -197,8 +183,15 @@ class WeightMatrix:
         if self.provenance not in ("identity", "diagonal-kernel", "inverse-toeplitz"):
             raise ValueError(f"unknown provenance {self.provenance!r}")
         if self.provenance in ("identity", "diagonal-kernel"):
-            if np.abs(w - np.diag(np.diag(w))).max() != 0.0:
+            diag = np.diag(w)
+            if np.abs(w - np.diag(diag)).max() != 0.0:
                 raise ValueError("diagonal provenance requires exact zeros off-diagonal")
+            if self.condition is None:
+                low = diag.min()
+                object.__setattr__(self, "condition",
+                                   math.inf if low == 0.0 else float(diag.max() / low))
+        elif self.condition is None:
+            raise ValueError("inverse-toeplitz weights need their source's condition number")
         w.setflags(write=False)
         object.__setattr__(self, "matrix", w)
 
@@ -240,22 +233,20 @@ def narrowband_autocorr(poles, ts: float, kmax: int) -> AutocorrSequence:
     sigma < 0 gives the decaying envelope of a causal process.  The sequence is
     truncated at +-kmax.
     """
-    poles = tuple((float(s), float(w)) for s, w in poles)
-    for sig, omega in poles:
-        if sig >= 0:
+    m = np.arange(kmax + 1, dtype=float)
+    vals = np.zeros(kmax + 1)
+    for sig, omega in ((float(s), float(w)) for s, w in poles):
+        if not sig < 0:
             raise ValueError("pole damping sigma must be < 0")
         if not 0 < omega * ts <= math.pi + ALIAS_TOL:
             raise ValueError(f"pole frequency Omega*Ts = {omega * ts:.4g} outside (0, pi]")
-    m = np.arange(kmax + 1, dtype=float)
-    vals = np.zeros(kmax + 1)
-    for sig, omega in poles:
         vals += np.exp(sig * ts * m) * np.cos(omega * ts * m)
     return AutocorrSequence(values=vals, kmax=kmax)
 
 
 def gauss_markov_lowpass_autocorr(lam: float, kmax: int) -> AutocorrSequence:
     """First-order low-pass Gauss-Markov autocorrelation rho^|m|, rho = exp(-1/lam)."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("correlation scale lam must be positive")
     rho = math.exp(-1.0 / lam)
     vals = rho ** np.arange(kmax + 1, dtype=float)
@@ -268,7 +259,7 @@ def gaussian_kernel_weights(lam: float, kmax: int) -> WeightMatrix:
     The scale is typically chosen from a cut-off frequency via
     lam = 3 / omega_c (three-sigma point of the kernel's own response).
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("kernel scale lam must be positive")
     m = np.arange(-kmax, kmax + 1, dtype=float)
     diag = np.exp(-(m ** 2) / (2.0 * lam ** 2))
@@ -291,6 +282,8 @@ def kms_tridiagonal_inverse(rho: float, size: int) -> np.ndarray:
     """
     if not abs(rho) < 1:
         raise ValueError("KMS inverse requires |rho| < 1")
+    if size == 1:
+        return np.ones((1, 1))
     denom = 1.0 - rho * rho
     w = np.zeros((size, size))
     np.fill_diagonal(w, (1.0 + rho * rho) / denom)
@@ -349,29 +342,49 @@ def condition_estimate(matrix: np.ndarray) -> float:
     return math.inf if low == 0.0 else float(magnitudes.max() / low)
 
 
+class _Family(NamedTuple):
+    fields: tuple[str, ...]                # serialized order
+    autocorr: Callable | None              # (model, kmax) -> AutocorrSequence
+    weight: str                            # provenance of the weight route
+    kms_rho: Callable | None = None        # model -> rho of a first-order KMS matrix
+
+
+_KINDS = {
+    "white": _Family(
+        (), lambda model, kmax: AutocorrSequence(values=np.eye(1, kmax + 1)[0], kmax=kmax),
+        "identity"),
+    # A weighting kernel, not a process: it has no autocorrelation.
+    "gaussian-kernel": _Family(("lam",), None, "diagonal-kernel"),
+    "gauss-markov": _Family(
+        ("lam",), lambda model, kmax: gauss_markov_lowpass_autocorr(model.lam, kmax),
+        "inverse-toeplitz", lambda model: math.exp(-1.0 / model.lam)),
+    # Single pole at Omega = pi: R[m] = (-exp(sigma*Ts))^|m|.
+    "nyquist": _Family(
+        ("sigma",), lambda model, kmax: narrowband_autocorr(
+            [(model.sigma, math.pi / model.ts)], model.ts, kmax),
+        "inverse-toeplitz", lambda model: -math.exp(model.sigma * model.ts)),
+    "narrow-band": _Family(
+        ("poles",), lambda model, kmax: narrowband_autocorr(model.poles, model.ts, kmax),
+        "inverse-toeplitz"),
+    "wide-band": _Family(
+        ("omega_c", "omega_d"),
+        lambda model, kmax: wideband_autocorr(model.omega_c, model.omega_d, kmax),
+        "inverse-toeplitz"),
+}
+
+
 def autocorrelation(model: NoiseModel, kmax: int) -> AutocorrSequence:
     """Autocorrelation sequence of a noise model out to lag kmax."""
-    if model.kind == "white":
-        vals = np.zeros(kmax + 1)
-        vals[0] = 1.0
-        return AutocorrSequence(values=vals, kmax=kmax)
-    if model.kind == "gauss-markov":
-        return gauss_markov_lowpass_autocorr(model.lam, kmax)
-    if model.kind == "nyquist":
-        # Single pole at Omega = pi: R[m] = (-exp(sigma*Ts))^|m|.
-        return narrowband_autocorr([(model.sigma, math.pi / model.ts)],
-                                   model.ts, kmax)
-    if model.kind == "narrow-band":
-        return narrowband_autocorr(model.poles, model.ts, kmax)
-    if model.kind == "wide-band":
-        return wideband_autocorr(model.omega_c, model.omega_d, kmax)
-    raise ValueError(f"{model.kind} model is a weighting kernel, not a process; "
-                     "it has no autocorrelation")
+    build = _KINDS[model.kind].autocorr
+    if build is None:
+        raise ValueError(f"{model.kind} model is a weighting kernel, not a process; "
+                         "it has no autocorrelation")
+    return build(model, kmax)
 
 
 def correlation_matrix(model: NoiseModel, size: int) -> np.ndarray:
     """Toeplitz autocorrelation matrix of a model; diagonal kernels use W^-1."""
-    if model.kind == "gaussian-kernel":
+    if _KINDS[model.kind].autocorr is None:
         w = gaussian_kernel_weights(model.lam, (size - 1) // 2).matrix
         return np.diag(1.0 / np.diag(w))
     return toeplitz_from_autocorr(autocorrelation(model, size - 1), size)
@@ -384,18 +397,10 @@ def weight_matrix(model: NoiseModel, size: int) -> WeightMatrix:
     (gauss-markov, nyquist) -> exact tridiagonal KMS inverse; narrow-band and
     wide-band -> dense inverse of the Toeplitz matrix with a residual check.
     """
-    if model.kind == "white":
+    family = _KINDS[model.kind]
+    if family.weight == "identity":
         return WeightMatrix(matrix=np.eye(size), provenance="identity")
-    if model.kind == "gaussian-kernel":
+    if family.weight == "diagonal-kernel":
         return gaussian_kernel_weights(model.lam, (size - 1) // 2)
-    if model.kind == "gauss-markov":
-        rho = math.exp(-1.0 / model.lam)
-        r = toeplitz_from_autocorr(autocorrelation(model, size - 1), size)
-        w = invert_to_weight(r, kms_rho=rho)
-        return w
-    if model.kind == "nyquist":
-        rho = -math.exp(model.sigma * model.ts)
-        r = toeplitz_from_autocorr(autocorrelation(model, size - 1), size)
-        return invert_to_weight(r, kms_rho=rho)
-    r = toeplitz_from_autocorr(autocorrelation(model, size - 1), size)
-    return invert_to_weight(r)
+    rho = None if family.kms_rho is None else family.kms_rho(model)
+    return invert_to_weight(correlation_matrix(model, size), kms_rho=rho)

@@ -12,7 +12,7 @@ import pytest
 import sgwhiten as sg
 from sgwhiten import filter_design as fd
 from sgwhiten import sim_harness as sim
-from sgwhiten.cli import main, read_csv_column, write_csv, write_detection_csv
+from sgwhiten.cli import main, read_csv_column, write_csv
 from sgwhiten.detector import DB_FLOOR
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -132,6 +132,25 @@ class TestDesign:
         assert rc == 0
         doc = json.loads((tmp_path / "filter_custom.json").read_text())
         assert doc["wng"] == pytest.approx(0.2119, abs=2e-3)
+
+    @pytest.mark.parametrize("noise", [
+        {"kind": "narrow-band", "poles": [{"omega": 1.0}]},
+        {"kind": "narrow-band", "poles": [[-1e-6, 1.0]]},
+        {"kind": "narrow-band", "poles": 5},
+        {"kind": "gauss-markov", "lam": "abc"},
+        {"kind": "white", "ts": "x"},
+        {"kind": "narrow-band", "poles": [{"sigma": math.nan, "omega": 1.0}]},
+        5,
+    ], ids=["pole-without-sigma", "pole-as-list", "poles-not-a-list", "lam-string",
+            "ts-string", "pole-nan-sigma", "not-an-object"])
+    def test_malformed_noise_model_is_validation_error(self, tmp_path, capsys,
+                                                        noise):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"design": {"noise": noise}}))
+        rc = run(["design", "--M", 17, "--L", 5, "--config", config,
+                  "--out", tmp_path])
+        assert rc == 2
+        assert "validation error" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # Damping too weak: the whitening inverse misses its residual bound.
@@ -313,8 +332,27 @@ class TestSimulate:
                   if not line.startswith("#")][0].split(",")
         assert header[:2] == ["n", "x"]
         for lab in sg.PRESET_LABELS:
-            for col in (f"y_{lab}", f"zdb_{lab}", f"det_{lab}"):
+            for col in (f"y_{lab}", f"zdb_{lab}", f"ddb_{lab}", f"det_{lab}"):
                 assert col in header
+
+    def test_trace_detection_columns_match_reports(self, tmp_path, presets):
+        # det_<lab> flags each preset's run_detector events, and the flags
+        # are the crossings of the floored decision column ddb_<lab>.  Every
+        # preset fires on this trace, so no comparison is of empty sets.
+        rc = run(["simulate", "--scenario", "low-white", "--seed", 2,
+                  "--out", tmp_path])
+        assert rc == 0
+        path = tmp_path / "trace_low-white_seed2.csv"
+        n = read_csv_column(path, "n")
+        trace = sg.build_trace("low-white", seed=2, amplitude=sim.DEFAULT_AMPLITUDE)
+        for lab, filt in presets.items():
+            report = sg.run_detector(filt, trace)
+            ddb = read_csv_column(path, f"ddb_{lab}")
+            det = read_csv_column(path, f"det_{lab}")
+            assert len(report.events) > 0
+            assert np.array_equal(n[det > 0], report.events)
+            assert np.array_equal(ddb, np.maximum(report.decision_db, DB_FLOOR))
+            assert np.array_equal(det > 0, ddb > report.gamma_db)
 
     def test_table_uses_configured_masks(self, tmp_path):
         config = tmp_path / "config.json"
@@ -355,48 +393,6 @@ class TestSimulate:
         rc = run(["simulate", "--scenario", "mismatched-colored", "--seed", 5,
                   "--out", tmp_path])
         assert rc == 0
-
-
-class TestDetectionCsv:
-    def test_schema_and_roundtrip(self, tmp_path, presets):
-        trace = sg.build_trace("low-white", seed=2, amplitude=10.0)
-        report = sg.run_detector(presets["A"], trace)
-        path = tmp_path / "detections.csv"
-        write_detection_csv(report, path)
-        z = read_csv_column(path, "z")
-        z_db = read_csv_column(path, "z_db")
-        detected = read_csv_column(path, "detected")
-        assert len(z) == len(report.z)
-        assert np.allclose(z, report.z, rtol=0, atol=0)
-        assert np.all(z_db >= -300.0)
-        flagged = np.nonzero(detected)[0] + report.offset
-        assert np.array_equal(flagged, report.events)
-
-    def test_bytes_match_row_writer(self, tmp_path, presets):
-        trace = sg.build_trace("low-white", seed=2, amplitude=10.0)
-        report = sg.run_detector(presets["A"], trace)
-        assert len(report.events) > 0
-        write_detection_csv(report, tmp_path / "cols.csv")
-        events = set(report.events.tolist())
-        n = np.arange(report.offset, report.offset + len(report.z))
-        rows = zip(n, report.z, np.maximum(report.z_db, DB_FLOOR),
-                   np.maximum(report.decision_db, DB_FLOOR),
-                   (int(i) in events for i in n))
-        write_rows_reference(
-            tmp_path / "rows.csv", ("n", "z", "z_db", "decision_db", "detected"),
-            rows, comments=(f"gamma_db={report.gamma_db} offset={report.offset}",))
-        assert (tmp_path / "cols.csv").read_bytes() \
-            == (tmp_path / "rows.csv").read_bytes()
-
-    def test_decision_column_explains_flags(self, tmp_path, presets):
-        trace = sg.build_trace("mismatched-colored", seed=8, amplitude=10.0)
-        report = sg.run_detector(presets["F"], trace)
-        path = tmp_path / "detections.csv"
-        write_detection_csv(report, path)
-        decision_db = read_csv_column(path, "decision_db")
-        detected = read_csv_column(path, "detected")
-        assert np.array_equal(decision_db, np.maximum(report.decision_db, -300.0))
-        assert np.array_equal(detected > 0, decision_db > report.gamma_db)
 
 
 class TestGoldenTrace:

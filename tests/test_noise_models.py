@@ -1,5 +1,6 @@
 """Noise model autocorrelations, Toeplitz builds, and whitening inverses."""
 
+import json
 import math
 
 import numpy as np
@@ -68,6 +69,8 @@ class TestNarrowband:
             nm.narrowband_autocorr([(0.0, 1.0)], ts=1.0, kmax=4)
         with pytest.raises(ValueError):
             nm.narrowband_autocorr([(1e-3, 1.0)], ts=1.0, kmax=4)
+        with pytest.raises(ValueError):
+            nm.narrowband_autocorr([(math.nan, 1.0)], ts=1.0, kmax=4)
 
     def test_rejects_aliased_pole(self):
         with pytest.raises(ValueError):
@@ -96,6 +99,8 @@ class TestGaussMarkov:
             nm.gauss_markov_lowpass_autocorr(lam=0.0, kmax=4)
         with pytest.raises(ValueError):
             nm.gauss_markov_lowpass_autocorr(lam=-2.0, kmax=4)
+        with pytest.raises(ValueError):
+            nm.gauss_markov_lowpass_autocorr(lam=math.nan, kmax=4)
 
 
 class TestGaussianKernel:
@@ -123,6 +128,8 @@ class TestGaussianKernel:
     def test_rejects_bad_scale(self):
         with pytest.raises(ValueError):
             nm.gaussian_kernel_weights(lam=-1.0, kmax=4)
+        with pytest.raises(ValueError, match="lam"):
+            nm.gaussian_kernel_weights(lam=math.nan, kmax=4)
 
 
 class TestToeplitz:
@@ -171,9 +178,11 @@ class TestInvertToWeight:
         dense = np.linalg.solve(r, np.eye(3))
         assert np.allclose(closed, dense, atol=1e-12)
 
-    @pytest.mark.parametrize("rho", [-0.999, -0.9, -0.3, 0.1, 0.5, 0.95, 0.999])
-    def test_kms_closed_form_matches_dense(self, rho):
-        size = 9
+    # Size 9 keeps the bare rho ids; sizes 1 and 2 cover the end-row cases.
+    @pytest.mark.parametrize("rho, size", [
+        pytest.param(rho, size, id=str(rho) if size == 9 else f"{rho}-size{size}")
+        for size in (9, 2, 1) for rho in (-0.999, -0.9, -0.3, 0.1, 0.5, 0.95, 0.999)])
+    def test_kms_closed_form_matches_dense(self, rho, size):
         r = np.asarray(rho, dtype=float) ** np.abs(
             np.subtract.outer(np.arange(size), np.arange(size)))
         closed = nm.kms_tridiagonal_inverse(rho, size)
@@ -253,8 +262,11 @@ class TestNoiseModelSpec:
             sg.NoiseModel.narrow_band([(-1e-6, 0.8608), (-1e-6, 1.6022)]),
             sg.NoiseModel.wide_band(omega_c=0.6884),
         ]
+        assert {model.kind for model in models} == set(nm._KINDS)
         for model in models:
             assert sg.NoiseModel.from_dict(model.to_dict()) == model
+            assert sg.NoiseModel.from_dict(json.loads(json.dumps(model.to_dict()))) \
+                == model
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):

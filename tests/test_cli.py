@@ -335,25 +335,6 @@ class TestSimulate:
             for col in (f"y_{lab}", f"zdb_{lab}", f"ddb_{lab}", f"det_{lab}"):
                 assert col in header
 
-    def test_trace_detection_columns_match_reports(self, tmp_path, presets):
-        # det_<lab> flags each preset's run_detector events, and the flags
-        # are the crossings of the floored decision column ddb_<lab>.  Every
-        # preset fires on this trace, so no comparison is of empty sets.
-        rc = run(["simulate", "--scenario", "low-white", "--seed", 2,
-                  "--out", tmp_path])
-        assert rc == 0
-        path = tmp_path / "trace_low-white_seed2.csv"
-        n = read_csv_column(path, "n")
-        trace = sg.build_trace("low-white", seed=2, amplitude=sim.DEFAULT_AMPLITUDE)
-        for lab, filt in presets.items():
-            report = sg.run_detector(filt, trace)
-            ddb = read_csv_column(path, f"ddb_{lab}")
-            det = read_csv_column(path, f"det_{lab}")
-            assert len(report.events) > 0
-            assert np.array_equal(n[det > 0], report.events)
-            assert np.array_equal(ddb, np.maximum(report.decision_db, DB_FLOOR))
-            assert np.array_equal(det > 0, ddb > report.gamma_db)
-
     def test_table_uses_configured_masks(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"detector": {
@@ -393,6 +374,44 @@ class TestSimulate:
         rc = run(["simulate", "--scenario", "mismatched-colored", "--seed", 5,
                   "--out", tmp_path])
         assert rc == 0
+
+
+class TestDetectionCsv:
+    """The det_<lab> and ddb_<lab> detection columns of the simulate trace CSV.
+
+    Every preset fires on this trace, so no comparison is of empty sets.
+    """
+
+    @pytest.fixture
+    def trace_csv(self, tmp_path):
+        rc = run(["simulate", "--scenario", "low-white", "--seed", 2,
+                  "--out", tmp_path])
+        assert rc == 0
+        trace = sg.build_trace("low-white", seed=2,
+                               amplitude=sim.DEFAULT_AMPLITUDE)
+        return tmp_path / "trace_low-white_seed2.csv", trace
+
+    def test_schema_and_roundtrip(self, trace_csv, presets):
+        # det_<lab> flags exactly each preset's run_detector events.
+        path, trace = trace_csv
+        n = read_csv_column(path, "n")
+        for lab, filt in presets.items():
+            report = sg.run_detector(filt, trace)
+            det = read_csv_column(path, f"det_{lab}")
+            assert len(det) == len(report.z)
+            assert len(report.events) > 0
+            assert np.array_equal(n[det > 0], report.events)
+
+    def test_decision_column_explains_flags(self, trace_csv, presets):
+        # ddb_<lab> is the floored decision statistic; the flags are its
+        # crossings of gamma.
+        path, trace = trace_csv
+        for lab, filt in presets.items():
+            report = sg.run_detector(filt, trace)
+            ddb = read_csv_column(path, f"ddb_{lab}")
+            det = read_csv_column(path, f"det_{lab}")
+            assert np.array_equal(ddb, np.maximum(report.decision_db, DB_FLOOR))
+            assert np.array_equal(det > 0, ddb > report.gamma_db)
 
 
 class TestGoldenTrace:

@@ -30,7 +30,7 @@ from .detector import (DetectionReport, HypothesisMask, OrthoTransform,
                        peak_snr, threshold_detect, to_decibels)
 from .sim_harness import (ExperimentResult, PulseTruth, ScenarioTrace,
                           SCENARIOS, build_trace, calibrate_amplitude,
-                          gen_background, gen_noise, gen_pulse_train,
-                          run_detector, run_experiment)
+                          detect_traces, gen_background, gen_noise,
+                          gen_pulse_train, run_detector, run_experiment)
 
 __version__ = "0.1.0"

@@ -42,6 +42,11 @@ the medium-pulse peak of the white-noise scenarios eps is 0.12-0.16 % of
 preset A's background power but 1-2 % of preset C's.
 Crossings of a decibel threshold by D become detection events; with
 ground-truth pulse extents the per-pulse peak of Z can be extracted.
+
+Detection is two steps: ``detection_statistics`` computes Z and D for the
+coefficient rows of one series or of a stack of equal-length series (a
+leading trace axis), and ``build_reports`` thresholds each series and takes its
+peaks.  ``detect`` is the one-series case.
 """
 
 from __future__ import annotations
@@ -59,6 +64,9 @@ DEFAULT_GAMMA_DB = 20.0
 
 # Decibel floor applied when serializing; in-memory values may be -inf.
 DB_FLOOR = -300.0
+
+# Bytes of window outputs residual_power holds at once.
+RESIDUAL_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -231,14 +239,20 @@ def residual_power(samples: np.ndarray, transform: OrthoTransform) -> np.ndarray
 
     Each window goes through the M - L columns of the transform's residual
     factor, by the bank's window kernel, and the outputs are squared and
-    summed.
+    summed, one slice of windows at a time, so at most RESIDUAL_BYTES of
+    outputs are held however long the input.
     """
     x = np.asarray(samples, dtype=float)
     m = transform.w_scaled.shape[0]
     if len(x) < m:
         raise ValueError(f"input length {len(x)} is shorter than the window {m}")
-    out = window_products(x, transform.residual_factor)
-    return np.einsum("nk,nk->n", out, out)
+    factor = transform.residual_factor
+    step = max(RESIDUAL_BYTES // (8 * max(factor.shape[1], 1)), 1)
+    power = np.empty(len(x) - m + 1)
+    for first in range(0, len(power), step):
+        out = window_products(x[first:first + step + m - 1], factor)
+        power[first:first + step] = np.einsum("nk,nk->n", out, out)
+    return power
 
 
 def noise_share(transform: OrthoTransform,
@@ -252,16 +266,19 @@ def noise_share(transform: OrthoTransform,
     return transform.mask_factors(masks).share
 
 
-def _powers(features: FeatureSeries, transform: OrthoTransform,
+def _powers(coeffs: np.ndarray, transform: OrthoTransform,
             masks: HypothesisMask, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Fitted foreground and background powers |C_F a_F|^2, |C_B a_B|^2 per
-    sample, equal to |U a1|^2 and |U a0|^2."""
+    coefficient row, equal to |U a1|^2 and |U a0|^2.  ``coeffs`` is
+    (samples, L) or (traces, samples, L); numpy makes one BLAS product per
+    trace, so a trace's rows do not change when it is stacked with others."""
     if epsilon <= 0:
         raise ValueError("denominator guard epsilon must be positive")
     factors = transform.mask_factors(masks)
-    fore = features.coeffs @ factors.foreground
-    back = features.coeffs @ factors.background
-    return np.einsum("ij,ij->i", fore, fore), np.einsum("ij,ij->i", back, back)
+    fore = coeffs @ factors.foreground
+    back = coeffs @ factors.background
+    return (np.einsum("...ij,...ij->...i", fore, fore),
+            np.einsum("...ij,...ij->...i", back, back))
 
 
 def compute_statistic(features: FeatureSeries, transform: OrthoTransform,
@@ -273,7 +290,15 @@ def compute_statistic(features: FeatureSeries, transform: OrthoTransform,
     ``to_decibels`` for the dB form.  ``epsilon`` guards the denominator and
     must be positive.
     """
-    p1, p0 = _powers(features, transform, masks, epsilon)
+    return power_ratio(features.coeffs, transform, masks, epsilon)
+
+
+def power_ratio(coeffs: np.ndarray, transform: OrthoTransform,
+                masks: HypothesisMask = DEFAULT_MASKS,
+                epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
+    """Z = p1 / (p0 + eps) of coefficient rows, (samples, L) or
+    (traces, samples, L), with the shape of the rows."""
+    p1, p0 = _powers(coeffs, transform, masks, epsilon)
     return p1 / (p0 + epsilon)
 
 
@@ -292,24 +317,70 @@ def threshold_detect(z_db: np.ndarray, gamma_db: float = DEFAULT_GAMMA_DB,
     return np.nonzero(np.asarray(z_db) > gamma_db)[0] + offset
 
 
-def peak_snr(z_db: np.ndarray, extents, offset: int, half_window: int) -> list[float]:
+def peak_snr(z_db: np.ndarray, extents, offset: int, half_window: int) -> list:
     """Peak statistic within each pulse extent, in dB.
 
     ``extents`` are (start, stop) half-open supports in absolute sample
     indices; each is widened by the half window on both sides before taking
-    the maximum, so any analysis window overlapping the pulse counts.
-    Raises ValueError when an extent has no overlap with the series.
+    the maximum, so any analysis window overlapping the pulse counts.  A
+    series gives one float per extent; a stack of series (traces, samples)
+    gives one array of per-trace peaks per extent.  Raises ValueError when an
+    extent has no overlap with the series.
     """
     z_db = np.asarray(z_db)
     peaks = []
     for start, stop in extents:
         lo = max(start - half_window, offset)
-        hi = min(stop + half_window, offset + len(z_db))
+        hi = min(stop + half_window, offset + z_db.shape[-1])
         if lo >= hi:
             raise ValueError(
                 f"pulse extent [{start}, {stop}) lies outside the analyzed range")
-        peaks.append(float(z_db[lo - offset:hi - offset].max()))
+        peak = z_db[..., lo - offset:hi - offset].max(axis=-1)
+        peaks.append(float(peak) if peak.ndim == 0 else peak)
     return peaks
+
+
+def detection_statistics(coeffs: np.ndarray, transform: OrthoTransform,
+                         residual: np.ndarray,
+                         masks: HypothesisMask = DEFAULT_MASKS,
+                         epsilon: float = DEFAULT_EPSILON):
+    """Z, Z in dB and D in dB of coefficient rows, (samples, L) or
+    (traces, samples, L), with ``residual`` the ``residual_power`` rows of
+    the same windows, shaped like the rows."""
+    p1, p0 = _powers(coeffs, transform, masks, epsilon)
+    residual = np.asarray(residual, dtype=float)
+    if residual.shape != p1.shape:
+        raise ValueError(f"residual has shape {residual.shape}, features "
+                         f"{p1.shape}; both must cover the same windows")
+    denominator = p0 + epsilon
+    z = p1 / denominator
+    noise = noise_share(transform, masks) * residual
+    return z, to_decibels(z), to_decibels(np.maximum(p1 - noise, 0.0) / denominator)
+
+
+def build_reports(z: np.ndarray, z_db: np.ndarray, decision_db: np.ndarray,
+                  offset: int, gamma_db: float = DEFAULT_GAMMA_DB,
+                  pulse_extents=None,
+                  half_window: int | None = None) -> list[DetectionReport]:
+    """Threshold D and assemble one report per series of a stack
+    (traces, samples) whose first rows are all at absolute sample ``offset``.
+
+    ``pulse_extents`` (with ``half_window``) adds per-pulse peak SNR values
+    of Z for ground-truth supports shared by the series.
+    """
+    above = np.asarray(decision_db) > gamma_db
+    peaks = [()] * len(z)
+    if pulse_extents is not None:
+        if half_window is None:
+            raise ValueError("half_window is required alongside pulse_extents")
+        columns = peak_snr(z_db, pulse_extents, offset, half_window)
+        if columns:
+            peaks = list(zip(*(column.tolist() for column in columns)))
+    return [DetectionReport(z=z[i], z_db=z_db[i], decision_db=decision_db[i],
+                            gamma_db=gamma_db,
+                            events=above[i].nonzero()[0] + offset, offset=offset,
+                            peak_snr_db=peaks[i])
+            for i in range(len(z))]
 
 
 def detect(features: FeatureSeries, transform: OrthoTransform,
@@ -324,22 +395,7 @@ def detect(features: FeatureSeries, transform: OrthoTransform,
     ``features``.  ``pulse_extents`` (with ``half_window``) adds per-pulse
     peak SNR values of Z for ground-truth supports.
     """
-    p1, p0 = _powers(features, transform, masks, epsilon)
-    residual = np.asarray(residual, dtype=float)
-    if residual.shape != p1.shape:
-        raise ValueError(f"residual has shape {residual.shape}, features "
-                         f"{p1.shape}; both must cover the same windows")
-    denominator = p0 + epsilon
-    z = p1 / denominator
-    z_db = to_decibels(z)
-    noise = noise_share(transform, masks) * residual
-    decision_db = to_decibels(np.maximum(p1 - noise, 0.0) / denominator)
-    events = threshold_detect(decision_db, gamma_db, offset=features.offset)
-    peaks: tuple = ()
-    if pulse_extents is not None:
-        if half_window is None:
-            raise ValueError("half_window is required alongside pulse_extents")
-        peaks = tuple(peak_snr(z_db, pulse_extents, features.offset, half_window))
-    return DetectionReport(z=z, z_db=z_db, decision_db=decision_db,
-                           gamma_db=gamma_db, events=events,
-                           offset=features.offset, peak_snr_db=peaks)
+    stats = detection_statistics(features.coeffs, transform, residual, masks,
+                                 epsilon)
+    return build_reports(*(series[None] for series in stats), features.offset,
+                         gamma_db, pulse_extents, half_window)[0]

@@ -56,7 +56,7 @@ class DesignSpec:
             raise ValueError("monomial count L must satisfy 1 <= L <= M")
         if not 0 <= self.d < self.l:
             raise ValueError("derivative order d must satisfy 0 <= d < L")
-        if self.ts <= 0:
+        if not self.ts > 0:
             raise ValueError("sampling period must be positive")
         # Only narrow-band models carry poles; L <= M keeps the limit >= 0.
         limit = self.half_length + 1 - ((self.l - 1) // 2 + 1)

@@ -16,13 +16,20 @@ trace, so identical seeds give bit-identical traces.  Golden traces for
 regression live in the test suite, so cross-library generator parity is not
 required.
 
-The experiment runner designs every preset, runs the bank and detector over
-each seeded trace, and aggregates a scenarios-by-filters matrix of
-medium-pulse peak SNRs (peaks of the fitted ratio Z), in the shape of a
-standard comparison table.  Detection patterns count crossings of the
+The experiment runner designs every preset, builds every (scenario, seed)
+trace once, and runs each preset over all of them in one ``detect_traces``
+pass: the traces, of one length, are laid end to end, so the bank and the
+residual run once per preset, and the rows whose windows straddle two traces
+are dropped.  It aggregates a scenarios-by-filters matrix of medium-pulse
+peak SNRs (peaks of the fitted ratio Z), in the shape of a standard
+comparison table.  Detection patterns count crossings of the
 noise-corrected statistic D, which needs the trace samples as well as the
 bank's coefficients (see ``detector``).  Amplitude calibration reads only
-the Z peak of the medium pulse.
+the Z peak of the medium pulse: it builds each seed's trace once and, per
+bisection step, recomposes only the samples that peak reads, for all seeds
+in one bank pass.  A window's bank row depends only on the window
+(``analysis_bank.window_products``), so both give the results of whole
+traces analysed one at a time, bit for bit.
 """
 
 from __future__ import annotations
@@ -34,11 +41,11 @@ import math
 import numpy as np
 
 from . import filter_design as fd
-from .analysis_bank import FeatureSeries, SampleSequence, run_bank
+from .analysis_bank import SampleSequence, run_bank
 from .detector import (DEFAULT_EPSILON, DEFAULT_GAMMA_DB, DEFAULT_MASKS,
                        DetectionReport, HypothesisMask, build_ortho_transform,
-                       compute_statistic, detect, peak_snr, residual_power,
-                       to_decibels)
+                       build_reports, detection_statistics, power_ratio,
+                       residual_power, to_decibels)
 
 SCENARIOS = ("low-white", "high-white", "matched-colored", "mismatched-colored")
 
@@ -179,6 +186,16 @@ def gen_noise(scenario: str, num_samples: int, rng: np.random.Generator,
     return out
 
 
+def _compose(parts) -> np.ndarray:
+    """The composite of trace components: summed from zero, in order, one
+    element at a time.  Composing a slice of the components, stacked over
+    seeds or not, gives the same slice of the trace bit for bit."""
+    total = 0.0
+    for part in parts:
+        total = total + part
+    return total
+
+
 def build_trace(scenario: str, seed: int, amplitude: float = DEFAULT_AMPLITUDE,
                 gap: int = DEFAULT_GAP, ts: float = 1.0,
                 colored_white_noise: bool = False) -> ScenarioTrace:
@@ -200,17 +217,56 @@ def build_trace(scenario: str, seed: int, amplitude: float = DEFAULT_AMPLITUDE,
         "background": BACKGROUND_AMPLITUDE * np.sin(BACKGROUND_OMEGA * n + phase),
     }
     components.update(gen_noise(scenario, num, rng, colored_white_noise))
-    x = np.zeros(num)
-    for part in components.values():
-        x = x + part
-    return ScenarioTrace(name=scenario, seed=seed, x=x, components=components,
+    return ScenarioTrace(name=scenario, seed=seed,
+                         x=_compose(components.values()), components=components,
                          pulses=truth, amplitude=amplitude, ts=ts)
 
 
-def _trace_features(filt: fd.DesignedFilter, trace: ScenarioTrace) -> FeatureSeries:
-    """The filter's bank run over one trace."""
-    return run_bank(SampleSequence(values=trace.x, ts=trace.ts),
-                    filt.operators.h_matrix)
+def _end_to_end(x: np.ndarray, m: int) -> np.ndarray:
+    """The rows of x (traces x samples) laid end to end, plus M - 1 zeros,
+    so that a window pass over them gives one row per sample of each trace."""
+    return np.concatenate([x.ravel(), np.zeros(m - 1)])
+
+
+def _by_trace(rows: np.ndarray, traces: int, m: int) -> np.ndarray:
+    """Split the window rows of an ``_end_to_end`` pass into (traces, n - M + 1,
+    ...), dropping the M - 1 rows whose windows straddle two traces."""
+    n = len(rows) // traces
+    return rows.reshape(traces, n, *rows.shape[1:])[:, :n - m + 1]
+
+
+def detect_traces(filt: fd.DesignedFilter, traces,
+                  gamma_db: float = DEFAULT_GAMMA_DB,
+                  epsilon: float = DEFAULT_EPSILON,
+                  masks: HypothesisMask = DEFAULT_MASKS,
+                  transform=None) -> list[DetectionReport]:
+    """Full pipeline for one filter over traces of one length and pulse
+    layout: one bank pass and one residual pass over the traces end to end,
+    the statistics on the stack, then one report per trace.
+
+    Each report equals a run over its trace alone bit for bit: a window's
+    row depends only on the window (``window_products``), and the stacked
+    statistics make each BLAS product with one trace's shape.  Raises
+    ValueError when there is no trace or the traces differ in layout.
+    """
+    if not traces:
+        raise ValueError("no traces to detect")
+    extents = traces[0].extents()
+    if any(trace.extents() != extents for trace in traces[1:]):
+        raise ValueError("traces detected together must share their pulse layout")
+    if transform is None:
+        transform = build_ortho_transform(filt.operators.psi,
+                                          filt.operators.weight.matrix)
+    m = filt.spec.m
+    x = _end_to_end(np.stack([trace.x for trace in traces]), m)
+    residual = _by_trace(residual_power(x, transform), len(traces), m)
+    features = run_bank(SampleSequence(values=x, ts=traces[0].ts),
+                        filt.operators.h_matrix)
+    stats = detection_statistics(_by_trace(features.coeffs, len(traces), m),
+                                 transform, residual, masks=masks,
+                                 epsilon=epsilon)
+    return build_reports(*stats, features.offset, gamma_db, extents,
+                         filt.half_length)
 
 
 def run_detector(filt: fd.DesignedFilter, trace: ScenarioTrace,
@@ -218,14 +274,9 @@ def run_detector(filt: fd.DesignedFilter, trace: ScenarioTrace,
                  epsilon: float = DEFAULT_EPSILON,
                  masks: HypothesisMask = DEFAULT_MASKS,
                  transform=None) -> DetectionReport:
-    """Full pipeline for one filter over one trace: bank, statistics, events."""
-    if transform is None:
-        transform = build_ortho_transform(filt.operators.psi,
-                                          filt.operators.weight.matrix)
-    return detect(_trace_features(filt, trace), transform,
-                  residual_power(trace.x, transform),
-                  masks=masks, epsilon=epsilon, gamma_db=gamma_db,
-                  pulse_extents=trace.extents(), half_window=filt.half_length)
+    """Full pipeline for one filter over one trace: ``detect_traces`` of it."""
+    return detect_traces(filt, [trace], gamma_db=gamma_db, epsilon=epsilon,
+                         masks=masks, transform=transform)[0]
 
 
 @dataclass(frozen=True)
@@ -286,60 +337,53 @@ def run_experiment(scenarios=SCENARIOS, labels=fd.PRESET_LABELS, m: int = 17,
                    colored_white_noise: bool = False,
                    masks: HypothesisMask = DEFAULT_MASKS,
                    sink=None) -> ExperimentResult:
-    """Design the presets once, then sweep scenarios and seeds.
+    """Design the presets once, build every (scenario, seed) trace once, and
+    run each preset over all of them in one ``detect_traces`` pass.
 
     Per seed and filter the medium-pulse peak SNR and the detection pattern
     (which pulses crossed the threshold, whether anything crossed at all) are
     recorded; aggregation is by fraction of seeds and median peak.  Every
-    detection uses ``masks``.  ``sink``, if given, is called once per trace
-    after all presets ran on it, as ``sink(trace, filters, reports)``, the
+    detection uses ``masks``.  ``sink``, if given, is called once per trace,
+    in (scenario, seed) order, as ``sink(trace, filters, reports)``, the
     dicts mapping each label to its ``DesignedFilter`` and ``DetectionReport``.
+    Raises ValueError when there is no scenario or no seed.
     """
     if isinstance(scenarios, str):
         scenarios = (scenarios,)
-    seeds = tuple(seeds)
+    scenarios, seeds = tuple(scenarios), tuple(seeds)
+    if not scenarios or not seeds:
+        raise ValueError("the experiment needs at least one scenario and one seed")
     if gap is None:
         gap = 3 * m
     filters = {lab: fd.design_preset(lab, m=m, l=l, d=0) for lab in labels}
-    transforms = {lab: build_ortho_transform(f.operators.psi,
-                                             f.operators.weight.matrix)
-                  for lab, f in filters.items()}
-    half = (m - 1) // 2
+    traces = [build_trace(scenario, seed, amplitude=amplitude, gap=gap,
+                          colored_white_noise=colored_white_noise)
+              for scenario in scenarios for seed in seeds]
+    reports = {lab: detect_traces(filt, traces, gamma_db=gamma_db,
+                                  epsilon=epsilon, masks=masks)
+               for lab, filt in filters.items()}
+    if sink is not None:
+        for i, trace in enumerate(traces):
+            sink(trace, filters, {lab: reports[lab][i] for lab in labels})
 
+    half = (m - 1) // 2
+    medium = PULSE_KINDS.index(MEDIUM)
     cells = {}
-    for scenario in scenarios:
-        per_label = {lab: {"peaks": [], "med": [], "any": [], "nonquad": [],
-                           "kinds": {k: 0 for k in PULSE_KINDS}}
-                     for lab in labels}
-        for seed in seeds:
-            trace = build_trace(scenario, seed, amplitude=amplitude, gap=gap,
-                                colored_white_noise=colored_white_noise)
-            reports = {lab: run_detector(filters[lab], trace, gamma_db=gamma_db,
-                                         epsilon=epsilon, masks=masks,
-                                         transform=transforms[lab])
-                       for lab in labels}
-            for lab, report in reports.items():
-                acc = per_label[lab]
-                detected = _detected_kinds(report, trace, half)
-                for kind in detected:
-                    acc["kinds"][kind] += 1
-                acc["peaks"].append(
-                    report.peak_snr_db[[p.kind for p in trace.pulses].index(MEDIUM)])
-                acc["med"].append(MEDIUM in detected)
-                acc["any"].append(len(report.events) > 0)
-                acc["nonquad"].append(bool({"square", "sawtooth"} & detected))
-            if sink is not None:
-                sink(trace, filters, reports)
-        count = len(seeds)
-        for lab in labels:
-            acc = per_label[lab]
+    for lab in labels:
+        detected = [_detected_kinds(report, trace, half)
+                    for report, trace in zip(reports[lab], traces)]
+        for k, scenario in enumerate(scenarios):
+            block = slice(k * len(seeds), (k + 1) * len(seeds))
+            runs, kinds = reports[lab][block], detected[block]
             cells[(scenario, lab)] = CellStats(
-                peaks_medium_db=tuple(acc["peaks"]),
-                medium_detected=tuple(acc["med"]),
-                any_event=tuple(acc["any"]),
-                nonquad_detected=tuple(acc["nonquad"]),
-                detected_kinds={k: v / count for k, v in acc["kinds"].items()})
-    return ExperimentResult(scenarios=tuple(scenarios), labels=tuple(labels),
+                peaks_medium_db=tuple(r.peak_snr_db[medium] for r in runs),
+                medium_detected=tuple(MEDIUM in d for d in kinds),
+                any_event=tuple(len(r.events) > 0 for r in runs),
+                nonquad_detected=tuple(bool({"square", "sawtooth"} & d)
+                                       for d in kinds),
+                detected_kinds={kind: sum(kind in d for d in kinds) / len(seeds)
+                                for kind in PULSE_KINDS})
+    return ExperimentResult(scenarios=scenarios, labels=tuple(labels),
                             seeds=seeds, amplitude=amplitude, gamma_db=gamma_db,
                             m=m, l=l, cells=cells)
 
@@ -362,25 +406,36 @@ def calibrate_amplitude(target_db: float = 28.5, tol_db: float = 1.0,
 
     The median peak grows monotonically with amplitude, so a log-domain
     bisection converges; iteration stops once the median is within a tenth
-    of ``tol_db`` of the target.
+    of ``tol_db`` of the target.  Each seed's trace is built once.  An
+    evaluation recomposes only the samples [start - 2K, stop + 2K) that the
+    windows centred within K of the medium pulse read, for all seeds at once
+    and in ``build_trace``'s order, and runs one bank pass over them: the
+    peaks are those of whole traces at that amplitude, bit for bit.  Raises
+    ValueError when there is no seed.
     """
+    seeds = tuple(seeds)
+    if not seeds:
+        raise ValueError("calibration needs at least one seed")
     if gap is None:
         gap = 3 * m
     filt = fd.design_preset("A", m=m, l=l, d=0)
     transform = build_ortho_transform(filt.operators.psi,
                                       filt.operators.weight.matrix)
-    seeds = tuple(seeds)
+    traces = [build_trace("low-white", seed, gap=gap) for seed in seeds]
+    start, stop = traces[0].extents([MEDIUM])[0]
+    reach = 2 * filt.half_length
+    read = slice(max(start - reach, 0), min(stop + reach, len(traces[0].x)))
+    parts = {name: np.stack([trace.components[name][read] for trace in traces])
+             for name in traces[0].components}
 
     def median_peak(amplitude: float) -> float:
-        peaks = []
-        for seed in seeds:
-            trace = build_trace("low-white", seed, amplitude=amplitude, gap=gap)
-            features = _trace_features(filt, trace)
-            z_db = to_decibels(compute_statistic(features, transform,
-                                                 epsilon=epsilon))
-            peaks += peak_snr(z_db, trace.extents([MEDIUM]), features.offset,
-                              filt.half_length)
-        return float(np.median(peaks))
+        # Only the pulses scale with the amplitude; they stay the first part.
+        parts["pulses"] = gen_pulse_train(amplitude, gap)[0][read]
+        x = _end_to_end(_compose(parts.values()), m)
+        features = run_bank(SampleSequence(values=x), filt.operators.h_matrix)
+        z = power_ratio(_by_trace(features.coeffs, len(seeds), m), transform,
+                        epsilon=epsilon)
+        return float(np.median(to_decibels(z).max(axis=1)))
 
     if not median_peak(lo) < target_db < median_peak(hi):
         raise ValueError("calibration target outside the amplitude bracket")

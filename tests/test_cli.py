@@ -160,6 +160,19 @@ class TestDesign:
                   "--config", config, "--out", tmp_path])
         assert rc == 3
 
+    @pytest.mark.parametrize("source", ["preset", "config"])
+    def test_nan_sampling_period_rejected(self, tmp_path, capsys, source):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"design": {"noise": {"kind": "white"}}}))
+        route = (["--preset", "A"] if source == "preset"
+                 else ["--config", config])
+        out = tmp_path / "out"
+        rc = run(["design", "--M", 17, "--L", 5, "--ts", "nan", *route,
+                  "--out", out])
+        assert rc == 2
+        assert "sampling period" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestResponse:
     @pytest.fixture()
@@ -352,7 +365,8 @@ class TestSimulate:
                 == float(np.median(peaks))
 
     def test_one_detection_pass(self, tmp_path, monkeypatch):
-        calls = {"detect": 0, "design": 0}
+        # One bank pass and one residual pass per preset, over both seeds.
+        calls = {"bank": 0, "residual": 0, "design": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -360,14 +374,27 @@ class TestSimulate:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(sim, "run_detector",
-                            counted("detect", sim.run_detector))
+        monkeypatch.setattr(sim, "run_bank", counted("bank", sim.run_bank))
+        monkeypatch.setattr(sim, "residual_power",
+                            counted("residual", sim.residual_power))
         monkeypatch.setattr(fd, "design_preset",
                             counted("design", fd.design_preset))
         rc = run(["simulate", "--scenario", "high-white", "--seeds", 2,
                   "--out", tmp_path])
         assert rc == 0
-        assert calls == {"detect": 12, "design": 6}
+        assert calls == {"bank": 6, "residual": 6, "design": 6}
+
+    @pytest.mark.parametrize("args", [["--seeds", 0], ["--config", "empty"]],
+                             ids=["seeds-0", "config-empty-list"])
+    def test_empty_seed_set_is_validation_error(self, tmp_path, capsys, args):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scenario": {"seeds": []}}))
+        args = [config if a == "empty" else a for a in args]
+        out = tmp_path / "out"
+        rc = run(["simulate", "--scenario", "low-white", *args, "--out", out])
+        assert rc == 2
+        assert "validation error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_exit_zero_even_without_detections(self, tmp_path):
         # Detection content is data, not process status.

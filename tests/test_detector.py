@@ -5,8 +5,9 @@ import pytest
 
 import sgwhiten as sg
 from sgwhiten.analysis_bank import (BLOCK_BYTES, FeatureSeries, SampleSequence,
-                                    run_bank)
-from sgwhiten.detector import (DEFAULT_MASKS, HypothesisMask, build_ortho_transform,
+                                    run_bank, window_products)
+from sgwhiten.detector import (DEFAULT_MASKS, RESIDUAL_BYTES, HypothesisMask,
+                               build_ortho_transform,
                                compute_statistic, detect, noise_share, peak_snr,
                                residual_power, threshold_detect, to_decibels)
 from sgwhiten.errors import NotPositiveDefiniteError
@@ -182,6 +183,15 @@ class TestNoiseCorrection:
             total = np.einsum("nm,mk,nk->n", windows, tr.w_scaled, windows)
             assert np.abs(residual_power(x, tr) - direct).max() <= 1e-9 * total.max()
 
+    def test_residual_slices_equal_one_pass(self, transforms, rng):
+        # Three full slices of windows and a partial fourth.
+        tr = transforms["E"]
+        per_slice = RESIDUAL_BYTES // (8 * tr.residual_factor.shape[1])
+        x = rng.normal(size=3 * per_slice + 100 + 16)
+        out = window_products(x, tr.residual_factor)
+        assert np.array_equal(residual_power(x, tr),
+                              np.einsum("nk,nk->n", out, out))
+
     @pytest.mark.parametrize("label", ["A", "B", "C", "F"])
     def test_noise_share_is_unbiased_under_the_model(self, label, presets,
                                                      transforms, rng):
@@ -270,6 +280,13 @@ class TestPeakSnr:
         assert peaks == [33.0]
         peaks = peak_snr(z_db, [(49, 55)], offset=0, half_window=8)
         assert peaks == [0.0]
+
+    def test_stack_gives_per_series_peaks(self, rng):
+        stack = rng.normal(size=(3, 100))
+        extents = [(10, 20), (85, 120)]
+        columns = peak_snr(stack, extents, offset=4, half_window=8)
+        for i, series in enumerate(stack):
+            assert [c[i] for c in columns] == peak_snr(series, extents, 4, 8)
 
     def test_empty_extent_list(self):
         assert peak_snr(np.zeros(10), [], offset=0, half_window=8) == []

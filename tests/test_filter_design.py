@@ -332,3 +332,8 @@ class TestDesignSpecValidation:
     def test_rejects_d_at_l(self):
         with pytest.raises(ValueError):
             fd.DesignSpec(m=5, l=3, d=3)
+
+    @pytest.mark.parametrize("ts", [0.0, -1.0, float("nan")])
+    def test_rejects_sampling_period_not_positive(self, ts):
+        with pytest.raises(ValueError, match="sampling period"):
+            fd.DesignSpec(m=5, l=3, d=0, ts=ts)

@@ -7,8 +7,12 @@ import pytest
 
 import sgwhiten as sg
 from sgwhiten import sim_harness as sim
-from sgwhiten.analysis_bank import SampleSequence, run_bank
-from sgwhiten.detector import compute_statistic
+from sgwhiten import filter_design as fd
+from sgwhiten.analysis_bank import SampleSequence, run_bank, window_products
+from sgwhiten.detector import (DEFAULT_EPSILON, DEFAULT_MASKS, HypothesisMask,
+                               build_ortho_transform, compute_statistic,
+                               noise_share, peak_snr, threshold_detect,
+                               to_decibels)
 
 
 class TestPulseTrain:
@@ -211,3 +215,116 @@ class TestLongWindowSelectivity:
                                    amplitude=8.0)
         for label in result.labels:
             assert result.cells[("low-white", label)].nonquad_event == 0.0, label
+
+
+def per_trace_report(filt, trace, masks=DEFAULT_MASKS, epsilon=DEFAULT_EPSILON,
+                     gamma_db=20.0):
+    """One trace alone through bank, statistics and threshold, spelled out."""
+    tr = build_ortho_transform(filt.operators.psi, filt.operators.weight.matrix)
+    feats = run_bank(SampleSequence(values=trace.x), filt.operators.h_matrix)
+    factors = tr.mask_factors(masks)
+    fore = feats.coeffs @ factors.foreground
+    back = feats.coeffs @ factors.background
+    p1 = np.einsum("ij,ij->i", fore, fore)
+    p0 = np.einsum("ij,ij->i", back, back)
+    out = window_products(trace.x, tr.residual_factor)
+    residual = np.einsum("nk,nk->n", out, out)
+    z = p1 / (p0 + epsilon)
+    z_db = to_decibels(z)
+    decision_db = to_decibels(np.maximum(p1 - noise_share(tr, masks) * residual,
+                                         0.0) / (p0 + epsilon))
+    return {"z": z, "z_db": z_db, "decision_db": decision_db,
+            "events": threshold_detect(decision_db, gamma_db, feats.offset),
+            "peak_snr_db": tuple(peak_snr(z_db, trace.extents(), feats.offset,
+                                          filt.half_length))}
+
+
+class TestBatchedDetection:
+    """One pass per preset over all traces gives each trace's own reports."""
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(m=17, seeds=(0, 1, 2)),
+        dict(m=33, seeds=(3, 4)),
+        dict(m=17, seeds=(5, 6), colored_white_noise=True,
+             masks=HypothesisMask(foreground_keep=(1, 2), background_zero=(0, 1, 2))),
+        dict(m=17, seeds=(7,), scenarios=("mismatched-colored",),
+             masks=HypothesisMask(foreground_keep=(2, 3, 4),
+                                  background_zero=(0,)), epsilon=1e-2,
+             gamma_db=12.0),
+    ], ids=["m17", "m33", "masks-colored-white", "one-trace"])
+    def test_reports_equal_per_trace_path(self, kwargs):
+        seen = []
+        result = sg.run_experiment(amplitude=9.0,
+                                   sink=lambda *args: seen.append(args), **kwargs)
+        options = {k: kwargs[k] for k in ("masks", "epsilon", "gamma_db")
+                   if k in kwargs}
+        assert [(t.name, t.seed) for t, _, _ in seen] == \
+            [(s, k) for s in result.scenarios for k in result.seeds]
+        for trace, filters, reports in seen:
+            assert set(reports) == set(fd.PRESET_LABELS)
+            for lab, report in reports.items():
+                want = per_trace_report(filters[lab], trace, **options)
+                for name, value in want.items():
+                    assert np.array_equal(getattr(report, name), value), \
+                        (trace.name, trace.seed, lab, name)
+
+    def test_run_detector_is_the_one_trace_case(self, presets):
+        trace = sg.build_trace("high-white", seed=4)
+        report = sim.run_detector(presets["F"], trace)
+        for name, value in per_trace_report(presets["F"], trace).items():
+            assert np.array_equal(getattr(report, name), value), name
+
+    def test_rejects_traces_of_other_layouts(self, presets):
+        traces = [sg.build_trace("low-white", seed=0),
+                  sg.build_trace("low-white", seed=0, gap=40)]
+        with pytest.raises(ValueError):
+            sim.detect_traces(presets["A"], traces)
+
+    def test_empty_seed_set_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            sg.run_experiment(seeds=())
+        with pytest.raises(ValueError, match="seed"):
+            sg.calibrate_amplitude(seeds=())
+
+
+def plain_calibration(target_db, tol_db, seeds, m, l, gap, lo=0.1, hi=1000.0,
+                      max_iter=40):
+    """Log-domain bisection that rebuilds and analyses every whole trace."""
+    filt = fd.design_preset("A", m=m, l=l)
+    tr = build_ortho_transform(filt.operators.psi, filt.operators.weight.matrix)
+
+    def median_peak(amplitude):
+        peaks = []
+        for seed in seeds:
+            trace = sg.build_trace("low-white", seed, amplitude=amplitude, gap=gap)
+            feats = run_bank(SampleSequence(values=trace.x),
+                             filt.operators.h_matrix)
+            z_db = to_decibels(compute_statistic(feats, tr))
+            peaks += peak_snr(z_db, trace.extents(["quad-medium"]), feats.offset,
+                              filt.half_length)
+        return float(np.median(peaks))
+
+    assert median_peak(lo) < target_db < median_peak(hi)
+    for _ in range(max_iter):
+        mid = math.sqrt(lo * hi)
+        value = median_peak(mid)
+        if abs(value - target_db) <= 0.1 * tol_db:
+            return mid
+        if value < target_db:
+            lo = mid
+        else:
+            hi = mid
+    return math.sqrt(lo * hi)
+
+
+class TestCalibration:
+    @pytest.mark.parametrize("target_db,tol_db,seeds,m,gap", [
+        (28.5, 1.0, (0, 1, 2, 3), 17, 51),
+        (31.0, 0.01, (8, 2, 9), 17, 51),
+        (25.0, 0.1, (4, 5), 17, 5),      # gap < 2K: the read span is clipped
+        (2.0, 0.1, (6, 7, 8), 33, 30),
+    ], ids=["default", "tight", "short-gap", "m33"])
+    def test_equals_whole_trace_bisection(self, target_db, tol_db, seeds, m, gap):
+        got = sg.calibrate_amplitude(target_db=target_db, tol_db=tol_db,
+                                     seeds=seeds, m=m, gap=gap)
+        assert got == plain_calibration(target_db, tol_db, seeds, m, 5, gap)

@@ -16,11 +16,11 @@ trace, so identical seeds give bit-identical traces.  Golden traces for
 regression live in the test suite, so cross-library generator parity is not
 required.
 
-The experiment runner designs every preset, builds every (scenario, seed)
-trace once, and runs each preset over all of them in one ``detect_traces``
-pass: the traces, of one length, are laid end to end, so the bank and the
-residual run once per preset, and the rows whose windows straddle two traces
-are dropped.  It aggregates a scenarios-by-filters matrix of medium-pulse
+The experiment runner designs every preset, builds the (scenario, seed)
+traces in groups of bounded size, and runs each preset over a group in one
+``detect_traces`` pass: the traces, of one length, are laid end to end, so
+the bank and the residual run once per preset and group, and the rows whose
+windows straddle two traces are dropped.  It aggregates a scenarios-by-filters matrix of medium-pulse
 peak SNRs (peaks of the fitted ratio Z), in the shape of a standard
 comparison table.  Detection patterns count crossings of the
 noise-corrected statistic D, which needs the trace samples as well as the
@@ -60,6 +60,7 @@ BACKGROUND_OMEGA = 0.0084
 
 DEFAULT_AMPLITUDE = 10.0
 DEFAULT_GAP = 51          # 3x the default window length 17
+GROUP_BYTES = 1 << 23     # about the most one run_experiment group holds
 
 PULSE_KINDS = ("quad-small", "quad-medium", "quad-large", "square", "sawtooth")
 MEDIUM = "quad-medium"
@@ -238,8 +239,7 @@ def _by_trace(rows: np.ndarray, traces: int, m: int) -> np.ndarray:
 def detect_traces(filt: fd.DesignedFilter, traces,
                   gamma_db: float = DEFAULT_GAMMA_DB,
                   epsilon: float = DEFAULT_EPSILON,
-                  masks: HypothesisMask = DEFAULT_MASKS,
-                  transform=None) -> list[DetectionReport]:
+                  masks: HypothesisMask = DEFAULT_MASKS) -> list[DetectionReport]:
     """Full pipeline for one filter over traces of one length and pulse
     layout: one bank pass and one residual pass over the traces end to end,
     the statistics on the stack, then one report per trace.
@@ -254,9 +254,8 @@ def detect_traces(filt: fd.DesignedFilter, traces,
     extents = traces[0].extents()
     if any(trace.extents() != extents for trace in traces[1:]):
         raise ValueError("traces detected together must share their pulse layout")
-    if transform is None:
-        transform = build_ortho_transform(filt.operators.psi,
-                                          filt.operators.weight.matrix)
+    transform = build_ortho_transform(filt.operators.psi,
+                                      filt.operators.weight.matrix)
     m = filt.spec.m
     x = _end_to_end(np.stack([trace.x for trace in traces]), m)
     residual = _by_trace(residual_power(x, transform), len(traces), m)
@@ -272,11 +271,10 @@ def detect_traces(filt: fd.DesignedFilter, traces,
 def run_detector(filt: fd.DesignedFilter, trace: ScenarioTrace,
                  gamma_db: float = DEFAULT_GAMMA_DB,
                  epsilon: float = DEFAULT_EPSILON,
-                 masks: HypothesisMask = DEFAULT_MASKS,
-                 transform=None) -> DetectionReport:
+                 masks: HypothesisMask = DEFAULT_MASKS) -> DetectionReport:
     """Full pipeline for one filter over one trace: ``detect_traces`` of it."""
     return detect_traces(filt, [trace], gamma_db=gamma_db, epsilon=epsilon,
-                         masks=masks, transform=transform)[0]
+                         masks=masks)[0]
 
 
 @dataclass(frozen=True)
@@ -337,8 +335,9 @@ def run_experiment(scenarios=SCENARIOS, labels=fd.PRESET_LABELS, m: int = 17,
                    colored_white_noise: bool = False,
                    masks: HypothesisMask = DEFAULT_MASKS,
                    sink=None) -> ExperimentResult:
-    """Design the presets once, build every (scenario, seed) trace once, and
-    run each preset over all of them in one ``detect_traces`` pass.
+    """Design the presets once, then build the (scenario, seed) traces in
+    groups of at most about GROUP_BYTES of stacks and run each preset over a
+    group in one ``detect_traces`` pass.
 
     Per seed and filter the medium-pulse peak SNR and the detection pattern
     (which pulses crossed the threshold, whether anything crossed at all) are
@@ -346,7 +345,9 @@ def run_experiment(scenarios=SCENARIOS, labels=fd.PRESET_LABELS, m: int = 17,
     detection uses ``masks``.  ``sink``, if given, is called once per trace,
     in (scenario, seed) order, as ``sink(trace, filters, reports)``, the
     dicts mapping each label to its ``DesignedFilter`` and ``DetectionReport``.
-    Raises ValueError when there is no scenario or no seed.
+    A group's traces and reports are dropped once the sink has seen them, so
+    memory does not grow with the number of seeds.  Raises ValueError when
+    there is no scenario or no seed.
     """
     if isinstance(scenarios, str):
         scenarios = (scenarios,)
@@ -356,29 +357,41 @@ def run_experiment(scenarios=SCENARIOS, labels=fd.PRESET_LABELS, m: int = 17,
     if gap is None:
         gap = 3 * m
     filters = {lab: fd.design_preset(lab, m=m, l=l, d=0) for lab in labels}
-    traces = [build_trace(scenario, seed, amplitude=amplitude, gap=gap,
-                          colored_white_noise=colored_white_noise)
-              for scenario in scenarios for seed in seeds]
-    reports = {lab: detect_traces(filt, traces, gamma_db=gamma_db,
-                                  epsilon=epsilon, masks=masks)
-               for lab, filt in filters.items()}
-    if sink is not None:
-        for i, trace in enumerate(traces):
-            sink(trace, filters, {lab: reports[lab][i] for lab in labels})
+    cases = [(scenario, seed) for scenario in scenarios for seed in seeds]
+    # Floats a group holds per sample: the trace and its components, the
+    # bank's L coefficients and their foreground and background parts, and
+    # three report series per preset.
+    num = len(gen_pulse_train(amplitude, gap)[0])
+    size = max(GROUP_BYTES // (8 * num * (3 * len(labels) + 3 * l + 16)), 1)
 
     half = (m - 1) // 2
     medium = PULSE_KINDS.index(MEDIUM)
+    runs = {lab: [] for lab in labels}    # per trace: (peak, kinds, any event)
+    for first in range(0, len(cases), size):
+        traces = [build_trace(scenario, seed, amplitude=amplitude, gap=gap,
+                              colored_white_noise=colored_white_noise)
+                  for scenario, seed in cases[first:first + size]]
+        reports = {lab: detect_traces(filt, traces, gamma_db=gamma_db,
+                                      epsilon=epsilon, masks=masks)
+                   for lab, filt in filters.items()}
+        for i, trace in enumerate(traces):
+            if sink is not None:
+                sink(trace, filters, {lab: reports[lab][i] for lab in labels})
+            for lab in labels:
+                report = reports[lab][i]
+                runs[lab].append((report.peak_snr_db[medium],
+                                  _detected_kinds(report, trace, half),
+                                  len(report.events) > 0))
+
     cells = {}
     for lab in labels:
-        detected = [_detected_kinds(report, trace, half)
-                    for report, trace in zip(reports[lab], traces)]
         for k, scenario in enumerate(scenarios):
-            block = slice(k * len(seeds), (k + 1) * len(seeds))
-            runs, kinds = reports[lab][block], detected[block]
+            peaks, kinds, events = zip(*runs[lab][k * len(seeds):
+                                                  (k + 1) * len(seeds)])
             cells[(scenario, lab)] = CellStats(
-                peaks_medium_db=tuple(r.peak_snr_db[medium] for r in runs),
+                peaks_medium_db=peaks,
                 medium_detected=tuple(MEDIUM in d for d in kinds),
-                any_event=tuple(len(r.events) > 0 for r in runs),
+                any_event=events,
                 nonquad_detected=tuple(bool({"square", "sawtooth"} & d)
                                        for d in kinds),
                 detected_kinds={kind: sum(kind in d for d in kinds) / len(seeds)
@@ -395,6 +408,37 @@ def _detected_kinds(report: DetectionReport, trace: ScenarioTrace,
             < bisect_left(events, p.stop + half)}
 
 
+def _medium_peaks(filt: fd.DesignedFilter, traces, gap: int,
+                  epsilon: float = DEFAULT_EPSILON):
+    """Medium-pulse Z peaks (dB) of ``traces`` as a function of the pulse
+    amplitude, one per trace.
+
+    The traces are built once; a call recomposes only the samples
+    [start - 2K, stop + 2K) that the windows centred within K of the medium
+    pulse read, for all traces at once and in ``build_trace``'s order, and
+    runs one bank pass over them.
+    """
+    m = filt.spec.m
+    transform = build_ortho_transform(filt.operators.psi,
+                                      filt.operators.weight.matrix)
+    start, stop = traces[0].extents([MEDIUM])[0]
+    reach = 2 * filt.half_length
+    read = slice(max(start - reach, 0), min(stop + reach, len(traces[0].x)))
+    parts = {name: np.stack([trace.components[name][read] for trace in traces])
+             for name in traces[0].components}
+
+    def peaks(amplitude: float) -> np.ndarray:
+        # Only the pulses scale with the amplitude; they stay the first part.
+        parts["pulses"] = gen_pulse_train(amplitude, gap)[0][read]
+        x = _end_to_end(_compose(parts.values()), m)
+        features = run_bank(SampleSequence(values=x), filt.operators.h_matrix)
+        z = power_ratio(_by_trace(features.coeffs, len(traces), m), transform,
+                        epsilon=epsilon)
+        return to_decibels(z).max(axis=1)
+
+    return peaks
+
+
 def calibrate_amplitude(target_db: float = 28.5, tol_db: float = 1.0,
                         seeds=range(20), m: int = 17, l: int = 5,
                         gap: int | None = None,
@@ -406,36 +450,22 @@ def calibrate_amplitude(target_db: float = 28.5, tol_db: float = 1.0,
 
     The median peak grows monotonically with amplitude, so a log-domain
     bisection converges; iteration stops once the median is within a tenth
-    of ``tol_db`` of the target.  Each seed's trace is built once.  An
-    evaluation recomposes only the samples [start - 2K, stop + 2K) that the
-    windows centred within K of the medium pulse read, for all seeds at once
-    and in ``build_trace``'s order, and runs one bank pass over them: the
-    peaks are those of whole traces at that amplitude, bit for bit.  Raises
-    ValueError when there is no seed.
+    of ``tol_db`` of the target.  Each seed's trace is built once, and an
+    evaluation recomposes and analyses only the samples the medium-pulse
+    peak reads (``_medium_peaks``): the peaks are those of whole traces at
+    that amplitude, bit for bit.  Raises ValueError when there is no seed.
     """
     seeds = tuple(seeds)
     if not seeds:
         raise ValueError("calibration needs at least one seed")
     if gap is None:
         gap = 3 * m
-    filt = fd.design_preset("A", m=m, l=l, d=0)
-    transform = build_ortho_transform(filt.operators.psi,
-                                      filt.operators.weight.matrix)
-    traces = [build_trace("low-white", seed, gap=gap) for seed in seeds]
-    start, stop = traces[0].extents([MEDIUM])[0]
-    reach = 2 * filt.half_length
-    read = slice(max(start - reach, 0), min(stop + reach, len(traces[0].x)))
-    parts = {name: np.stack([trace.components[name][read] for trace in traces])
-             for name in traces[0].components}
+    peaks = _medium_peaks(fd.design_preset("A", m=m, l=l, d=0),
+                          [build_trace("low-white", seed, gap=gap)
+                           for seed in seeds], gap, epsilon)
 
     def median_peak(amplitude: float) -> float:
-        # Only the pulses scale with the amplitude; they stay the first part.
-        parts["pulses"] = gen_pulse_train(amplitude, gap)[0][read]
-        x = _end_to_end(_compose(parts.values()), m)
-        features = run_bank(SampleSequence(values=x), filt.operators.h_matrix)
-        z = power_ratio(_by_trace(features.coeffs, len(seeds), m), transform,
-                        epsilon=epsilon)
-        return float(np.median(to_decibels(z).max(axis=1)))
+        return float(np.median(peaks(amplitude)))
 
     if not median_peak(lo) < target_db < median_peak(hi):
         raise ValueError("calibration target outside the amplitude bracket")

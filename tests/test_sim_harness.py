@@ -268,6 +268,31 @@ class TestBatchedDetection:
                     assert np.array_equal(getattr(report, name), value), \
                         (trace.name, trace.seed, lab, name)
 
+    @pytest.mark.parametrize("budget,passes", [(1, 6), (400_000, 3)],
+                             ids=["one-trace-groups", "groups-across-scenarios"])
+    def test_groups_give_one_pass_results(self, monkeypatch, budget, passes):
+        # 399-sample traces at M = 17 take ~156 kB each, so 400 kB holds two.
+        kwargs = dict(scenarios=("low-white", "matched-colored"), seeds=(0, 1, 2),
+                      amplitude=9.0)
+        whole, seen = [], []
+        want = sg.run_experiment(sink=lambda *args: whole.append(args), **kwargs)
+        calls = []
+        detect = sim.detect_traces
+        monkeypatch.setattr(sim, "detect_traces",
+                            lambda filt, traces, **kw: calls.append(len(traces))
+                            or detect(filt, traces, **kw))
+        monkeypatch.setattr(sim, "GROUP_BYTES", budget)
+        got = sg.run_experiment(sink=lambda *args: seen.append(args), **kwargs)
+        assert len(calls) == passes * len(fd.PRESET_LABELS)
+        assert got.cells == want.cells
+        assert len(seen) == len(whole) == 6
+        for (trace, _, reports), (trace0, _, reports0) in zip(seen, whole):
+            assert (trace.name, trace.seed) == (trace0.name, trace0.seed)
+            for lab, report in reports.items():
+                for name in ("z", "z_db", "decision_db", "events", "peak_snr_db"):
+                    assert np.array_equal(getattr(report, name),
+                                          getattr(reports0[lab], name))
+
     def test_run_detector_is_the_one_trace_case(self, presets):
         trace = sg.build_trace("high-white", seed=4)
         report = sim.run_detector(presets["F"], trace)
@@ -328,3 +353,23 @@ class TestCalibration:
         got = sg.calibrate_amplitude(target_db=target_db, tol_db=tol_db,
                                      seeds=seeds, m=m, gap=gap)
         assert got == plain_calibration(target_db, tol_db, seeds, m, 5, gap)
+
+    @pytest.mark.parametrize("m,gap", [(17, 51), (17, 5), (33, 99), (33, 30)],
+                             ids=["m17", "m17-short-gap", "m33", "m33-short-gap"])
+    def test_read_span_peaks_equal_whole_trace_peaks(self, m, gap):
+        filt = fd.design_preset("A", m=m, l=5, d=0)
+        tr = build_ortho_transform(filt.operators.psi, filt.operators.weight.matrix)
+        seeds = (0, 7, 3, 12, 5)
+        peaks = sim._medium_peaks(filt, [sim.build_trace("low-white", s, gap=gap)
+                                         for s in seeds], gap)
+        for amplitude in (0.1, 0.73, 4.2, 10.0, 61.5, 1000.0):
+            whole = []
+            for seed in seeds:
+                trace = sim.build_trace("low-white", seed, amplitude=amplitude,
+                                        gap=gap)
+                feats = run_bank(SampleSequence(values=trace.x),
+                                 filt.operators.h_matrix)
+                whole += peak_snr(to_decibels(compute_statistic(feats, tr)),
+                                  trace.extents(["quad-medium"]), feats.offset,
+                                  filt.half_length)
+            assert peaks(amplitude).tolist() == whole

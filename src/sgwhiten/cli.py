@@ -306,8 +306,8 @@ def cmd_simulate(args, config) -> int:
                      det_cfg.get("gamma_db", DEFAULT_GAMMA_DB))
     epsilon = float(det_cfg.get("epsilon", DEFAULT_EPSILON))
     masks = HypothesisMask(
-        foreground_keep=tuple(det_cfg.get("foreground_keep", (2,))),
-        background_zero=tuple(det_cfg.get("background_zero", (0, 2))))
+        foreground_keep=det_cfg.get("foreground_keep", (2,)),
+        background_zero=det_cfg.get("background_zero", (0, 2)))
     colored_white = bool(scen_cfg.get("colored_white_noise", False))
     fmt = args.format or config.get("output", {}).get("format", "csv")
     if fmt not in ("csv", "json"):

@@ -53,6 +53,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+import math
+import numbers
 
 import numpy as np
 
@@ -76,19 +78,42 @@ class HypothesisMask:
     The defaults keep only the quadratic term (l = 2) in the foreground and
     zero the constant and quadratic terms (l = 0, 2) in the background, so
     dc offsets never count and odd or quartic content counts against a pulse.
+
+    Indices are non-negative integers and the foreground names at least one
+    term; an index beyond the L terms of a fit is a ValueError where the
+    mask meets that order.
     """
 
     foreground_keep: tuple[int, ...] = (2,)
     background_zero: tuple[int, ...] = (0, 2)
 
+    def __post_init__(self) -> None:
+        for name in ("foreground_keep", "background_zero"):
+            value = getattr(self, name)
+            if not isinstance(value, (tuple, list)) or not all(
+                    isinstance(i, numbers.Integral) and not isinstance(i, bool)
+                    and i >= 0 for i in value):
+                raise ValueError(
+                    f"{name} must list non-negative integer indices, got {value!r}")
+            object.__setattr__(self, name, tuple(int(i) for i in value))
+        if not self.foreground_keep:
+            raise ValueError("foreground_keep must name at least one term")
+
+    def _indices(self, name: str, order: int) -> list[int]:
+        indices = list(getattr(self, name))
+        if max(indices, default=-1) >= order:
+            raise ValueError(f"{name} index {max(indices)} is out of range for "
+                             f"a fit of {order} terms")
+        return indices
+
     def foreground_vector(self, order: int) -> np.ndarray:
         mask = np.zeros(order)
-        mask[list(self.foreground_keep)] = 1.0
+        mask[self._indices("foreground_keep", order)] = 1.0
         return mask
 
     def background_vector(self, order: int) -> np.ndarray:
         mask = np.ones(order)
-        mask[list(self.background_zero)] = 0.0
+        mask[self._indices("background_zero", order)] = 0.0
         return mask
 
 
@@ -272,8 +297,9 @@ def _powers(coeffs: np.ndarray, transform: OrthoTransform,
     coefficient row, equal to |U a1|^2 and |U a0|^2.  ``coeffs`` is
     (samples, L) or (traces, samples, L); numpy makes one BLAS product per
     trace, so a trace's rows do not change when it is stacked with others."""
-    if epsilon <= 0:
-        raise ValueError("denominator guard epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"denominator guard epsilon must be positive and "
+                         f"finite, got {epsilon!r}")
     factors = transform.mask_factors(masks)
     fore = coeffs @ factors.foreground
     back = coeffs @ factors.background
@@ -311,9 +337,17 @@ def to_decibels(z: np.ndarray, floor_db: float | None = None) -> np.ndarray:
     return db
 
 
+def _check_threshold(gamma_db: float) -> None:
+    if not math.isfinite(gamma_db):
+        raise ValueError(
+            f"detection threshold gamma_db must be finite, got {gamma_db!r}")
+
+
 def threshold_detect(z_db: np.ndarray, gamma_db: float = DEFAULT_GAMMA_DB,
                      offset: int = 0) -> np.ndarray:
-    """Absolute sample indices where the statistic exceeds the threshold."""
+    """Absolute sample indices where the statistic exceeds the threshold,
+    which must be finite."""
+    _check_threshold(gamma_db)
     return np.nonzero(np.asarray(z_db) > gamma_db)[0] + offset
 
 
@@ -366,8 +400,10 @@ def build_reports(z: np.ndarray, z_db: np.ndarray, decision_db: np.ndarray,
     (traces, samples) whose first rows are all at absolute sample ``offset``.
 
     ``pulse_extents`` (with ``half_window``) adds per-pulse peak SNR values
-    of Z for ground-truth supports shared by the series.
+    of Z for ground-truth supports shared by the series.  ``gamma_db`` must
+    be finite.
     """
+    _check_threshold(gamma_db)
     above = np.asarray(decision_db) > gamma_db
     peaks = [()] * len(z)
     if pulse_extents is not None:

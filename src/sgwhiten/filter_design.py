@@ -16,6 +16,14 @@ cut-off heuristic omega_c = 0.75 * omega_delta.
 Presets A-F reproduce a standard design progression at M = 17, L = 5:
 A plain least squares, B Gaussian kernel taper, C low-pass Gauss-Markov,
 D Nyquist notch, E narrow-band multi-notch, F wide-band high-frequency.
+
+A design is made once and reused.  ``design`` keeps its last
+DESIGN_CACHE_SIZE results by (spec, label); a repeat call returns the same
+immutable ``DesignedFilter``, and the preset cut-off reads the entry of
+preset A at d = 0.  A filter builds the detector's ``OrthoTransform`` of its
+basis and weights on first use of ``DesignedFilter.transform`` and keeps
+it, with the per-mask factors and the residual factor the transform builds
+in turn.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ import math
 import numpy as np
 
 from . import noise_models as nm
+from .detector import OrthoTransform, build_ortho_transform
 from .errors import IllConditionedError
 
 PRESET_LABELS = ("A", "B", "C", "D", "E", "F")
@@ -34,6 +43,9 @@ PRESET_LABELS = ("A", "B", "C", "D", "E", "F")
 # Inverse-Toeplitz weights with a condition number above this take the
 # bordered KKT route (the notch designs); cheaper models keep the W route.
 KKT_CONDITION_LIMIT = 1e6
+
+# Designs ``design`` keeps: the six presets at one (M, L, d, ts) and two more.
+DESIGN_CACHE_SIZE = 8
 
 DEFAULT_SIGMA_NB = -1e-6
 PRESET_E_OMEGAS = (0.8608, 1.6022, 3.1416)
@@ -107,6 +119,12 @@ class DesignedFilter:
     @property
     def half_length(self) -> int:
         return (len(self.h) - 1) // 2
+
+    @functools.cached_property
+    def transform(self) -> OrthoTransform:
+        """The detector's orthonormalized basis under this design's weights,
+        built on first use and kept."""
+        return build_ortho_transform(self.operators.psi, self.operators.weight.matrix)
 
 
 def build_vandermonde(m: int, l: int) -> np.ndarray:
@@ -302,8 +320,12 @@ def sidelobe_peak(h: np.ndarray, grid_size: int = 8192) -> float:
     return float(np.abs(resp[beyond]).max())
 
 
+@functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
 def design(spec: DesignSpec, label: str = "custom") -> DesignedFilter:
     """Solve a design spec into taps, operators, and diagnostics.
+
+    The last DESIGN_CACHE_SIZE results are kept by their arguments, so a
+    repeat call returns the same filter; errors are raised afresh.
 
     The explicit weighted-LS route is used for diagonal or well-conditioned
     weights; the bordered KKT route takes over when the condition number of
@@ -378,12 +400,11 @@ def design_preset(label: str, m: int = 17, l: int = 5, d: int = 0,
     return design(DesignSpec(m=m, l=l, d=d, ts=ts, noise=noise), label=label)
 
 
-@functools.lru_cache(maxsize=None)
 def preset_cutoff(m: int, l: int, ts: float = 1.0) -> float:
     """Cut-off omega_c = 0.75 * omega_delta of the plain design at (M, L).
 
-    Kept per (M, L, ts): presets B, C and F all derive their cut-off from
-    the same plain design.
+    Presets B, C and F all derive their cut-off from the same plain design,
+    which is the ``design`` call of preset A at d = 0 and so is solved once.
     """
     base = design(DesignSpec(m=m, l=l, d=0, ts=ts, noise=nm.NoiseModel.white(ts)),
                   label="A")

@@ -16,11 +16,13 @@ trace, so identical seeds give bit-identical traces.  Golden traces for
 regression live in the test suite, so cross-library generator parity is not
 required.
 
-The experiment runner designs every preset, builds the (scenario, seed)
-traces in groups of bounded size, and runs each preset over a group in one
-``detect_traces`` pass: the traces, of one length, are laid end to end, so
-the bank and the residual run once per preset and group, and the rows whose
-windows straddle two traces are dropped.  It aggregates a scenarios-by-filters matrix of medium-pulse
+The experiment runner designs every preset (``filter_design.design`` keeps
+the designs, and each filter its detector transform, so repeat runs reuse
+both), builds the (scenario, seed) traces in groups of bounded size, and
+runs each preset over a group in one ``detect_traces`` pass: the traces, of
+one length, are laid end to end, so the bank and the residual run once per
+preset and group, and the rows whose windows straddle two traces are
+dropped.  It aggregates a scenarios-by-filters matrix of medium-pulse
 peak SNRs (peaks of the fitted ratio Z), in the shape of a standard
 comparison table.  Detection patterns count crossings of the
 noise-corrected statistic D, which needs the trace samples as well as the
@@ -43,9 +45,9 @@ import numpy as np
 from . import filter_design as fd
 from .analysis_bank import SampleSequence, run_bank
 from .detector import (DEFAULT_EPSILON, DEFAULT_GAMMA_DB, DEFAULT_MASKS,
-                       DetectionReport, HypothesisMask, build_ortho_transform,
-                       build_reports, detection_statistics, power_ratio,
-                       residual_power, to_decibels)
+                       DetectionReport, HypothesisMask, build_reports,
+                       detection_statistics, power_ratio, residual_power,
+                       to_decibels)
 
 SCENARIOS = ("low-white", "high-white", "matched-colored", "mismatched-colored")
 
@@ -254,15 +256,13 @@ def detect_traces(filt: fd.DesignedFilter, traces,
     extents = traces[0].extents()
     if any(trace.extents() != extents for trace in traces[1:]):
         raise ValueError("traces detected together must share their pulse layout")
-    transform = build_ortho_transform(filt.operators.psi,
-                                      filt.operators.weight.matrix)
     m = filt.spec.m
     x = _end_to_end(np.stack([trace.x for trace in traces]), m)
-    residual = _by_trace(residual_power(x, transform), len(traces), m)
+    residual = _by_trace(residual_power(x, filt.transform), len(traces), m)
     features = run_bank(SampleSequence(values=x, ts=traces[0].ts),
                         filt.operators.h_matrix)
     stats = detection_statistics(_by_trace(features.coeffs, len(traces), m),
-                                 transform, residual, masks=masks,
+                                 filt.transform, residual, masks=masks,
                                  epsilon=epsilon)
     return build_reports(*stats, features.offset, gamma_db, extents,
                          filt.half_length)
@@ -419,8 +419,6 @@ def _medium_peaks(filt: fd.DesignedFilter, traces, gap: int,
     runs one bank pass over them.
     """
     m = filt.spec.m
-    transform = build_ortho_transform(filt.operators.psi,
-                                      filt.operators.weight.matrix)
     start, stop = traces[0].extents([MEDIUM])[0]
     reach = 2 * filt.half_length
     read = slice(max(start - reach, 0), min(stop + reach, len(traces[0].x)))
@@ -432,8 +430,8 @@ def _medium_peaks(filt: fd.DesignedFilter, traces, gap: int,
         parts["pulses"] = gen_pulse_train(amplitude, gap)[0][read]
         x = _end_to_end(_compose(parts.values()), m)
         features = run_bank(SampleSequence(values=x), filt.operators.h_matrix)
-        z = power_ratio(_by_trace(features.coeffs, len(traces), m), transform,
-                        epsilon=epsilon)
+        z = power_ratio(_by_trace(features.coeffs, len(traces), m),
+                        filt.transform, epsilon=epsilon)
         return to_decibels(z).max(axis=1)
 
     return peaks

@@ -1,4 +1,8 @@
-"""Shared fixtures: preset designs and transforms are built once per session."""
+"""Shared fixtures: preset designs and transforms are built once per session.
+
+``filter_design.design`` keeps its recent results, so a test that patches
+what ``design`` calls must call ``fd.design.cache_clear()`` first.
+"""
 
 import numpy as np
 import pytest

@@ -12,7 +12,7 @@ import pytest
 import sgwhiten as sg
 from sgwhiten import filter_design as fd
 from sgwhiten import sim_harness as sim
-from sgwhiten.cli import main, read_csv_column, write_csv
+from sgwhiten.cli import main, read_csv_column, write_csv, write_filter_file
 from sgwhiten.detector import DB_FLOOR
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -97,6 +97,15 @@ class TestDesign:
         assert rc == 0
         doc = json.loads((tmp_path / "filter_E.json").read_text())
         assert np.array_equal(np.asarray(doc["h"]), presets["E"].h)
+
+    def test_kept_design_writes_the_same_bytes(self, tmp_path):
+        for lab in fd.PRESET_LABELS:
+            kept, fresh = tmp_path / f"kept_{lab}.json", tmp_path / f"fresh_{lab}.json"
+            filt = fd.design_preset(lab)
+            assert fd.design_preset(lab) is filt
+            write_filter_file(filt, kept)
+            write_filter_file(fd.design.__wrapped__(filt.spec, label=lab), fresh)
+            assert kept.read_bytes() == fresh.read_bytes()
 
     def test_pole_budget_validation_fails(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -394,6 +403,35 @@ class TestSimulate:
         rc = run(["simulate", "--scenario", "low-white", *args, "--out", out])
         assert rc == 2
         assert "validation error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("detector", [
+        {"foreground_keep": [-1]}, {"background_zero": [-1]},
+        {"foreground_keep": []}, {"foreground_keep": [7]},
+        {"foreground_keep": [2.5]}, {"foreground_keep": ["2"]},
+        {"background_zero": [9]}, {"epsilon": float("nan")},
+        {"gamma_db": float("nan")},
+    ], ids=["fore-negative", "back-negative", "fore-empty", "fore-7",
+            "fore-float", "fore-string", "back-9", "epsilon-nan", "gamma-nan"])
+    def test_bad_detector_config_is_validation_error(self, tmp_path, capsys,
+                                                     detector):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"detector": detector}))
+        out = tmp_path / "out"
+        rc = run(["simulate", "--scenario", "low-white", "--seed", 1,
+                  "--config", config, "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "validation error" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_threshold_flag_rejected(self, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        rc = run(["simulate", "--scenario", "low-white", "--seed", 1,
+                  "--gamma-db", value, "--out", out])
+        assert rc == 2
+        assert "gamma_db must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_exit_zero_even_without_detections(self, tmp_path):

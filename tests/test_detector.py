@@ -96,6 +96,12 @@ class TestStatistic:
             compute_statistic(features_from([[0, 0, 1, 0, 0]]), transforms["A"],
                               epsilon=0.0)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_epsilon_must_be_finite(self, transforms, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            compute_statistic(features_from([[0, 0, 1, 0, 0]]), transforms["A"],
+                              epsilon=epsilon)
+
     def test_scale_invariance_exact_without_guard(self, transforms, rng):
         # With no guard the ratio is exactly scale-free; c = 2 and c = -1 are
         # exact in floating point, so equality is bitwise at one sample.
@@ -269,6 +275,48 @@ class TestThreshold:
         z_db = np.array([0, 25, 30, 22, 0.0])
         events = threshold_detect(z_db, 20.0)
         assert np.array_equal(events, [1, 2, 3])
+
+    @pytest.mark.parametrize("gamma_db", [float("nan"), float("inf"), -float("inf")])
+    def test_threshold_must_be_finite(self, presets, transforms, gamma_db):
+        with pytest.raises(ValueError, match="gamma_db"):
+            threshold_detect(np.array([0.0, 25.0]), gamma_db)
+        trace = sg.build_trace("low-white", seed=0)
+        feats = run_bank(SampleSequence(values=trace.x),
+                         presets["A"].operators.h_matrix)
+        with pytest.raises(ValueError, match="gamma_db"):
+            detect(feats, transforms["A"], residual_power(trace.x, transforms["A"]),
+                   gamma_db=gamma_db)
+
+
+class TestHypothesisMask:
+    @pytest.mark.parametrize("kwargs", [
+        dict(foreground_keep=(-1,)), dict(background_zero=(-1,)),
+        dict(foreground_keep=(2.5,)), dict(foreground_keep=("2",)),
+        dict(foreground_keep=(True,)), dict(foreground_keep=2),
+        dict(background_zero="0"),
+    ], ids=["fore-negative", "back-negative", "fore-float", "fore-string",
+            "fore-bool", "fore-scalar", "back-string"])
+    def test_rejects_non_index_entries(self, kwargs):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            HypothesisMask(**kwargs)
+
+    def test_rejects_empty_foreground(self):
+        with pytest.raises(ValueError, match="at least one"):
+            HypothesisMask(foreground_keep=())
+
+    def test_lists_and_numpy_integers_give_the_same_mask(self):
+        mask = HypothesisMask(foreground_keep=[np.int64(2)], background_zero=[0, 2])
+        assert mask == DEFAULT_MASKS
+        assert hash(mask) == hash(DEFAULT_MASKS)
+
+    @pytest.mark.parametrize("kwargs", [dict(foreground_keep=(7,)),
+                                        dict(background_zero=(0, 9))],
+                             ids=["fore-7", "back-9"])
+    def test_index_beyond_the_order_rejected(self, transforms, kwargs):
+        mask = HypothesisMask(**kwargs)
+        assert mask.foreground_vector(10).shape == (10,)
+        with pytest.raises(ValueError, match="out of range"):
+            transforms["A"].mask_factors(mask)
 
 
 class TestPeakSnr:

@@ -337,3 +337,63 @@ class TestDesignSpecValidation:
     def test_rejects_sampling_period_not_positive(self, ts):
         with pytest.raises(ValueError, match="sampling period"):
             fd.DesignSpec(m=5, l=3, d=0, ts=ts)
+
+
+class TestDesignMemo:
+    """``design`` keeps its recent results; a filter keeps its transform."""
+
+    @staticmethod
+    def spec(lam=4.0):
+        return fd.DesignSpec(m=17, l=5, d=0, noise=nm.NoiseModel.gauss_markov(lam=lam))
+
+    def test_equal_arguments_give_the_same_filter(self):
+        filt = fd.design(self.spec(), "memo")
+        assert fd.design(self.spec(), "memo") is filt
+        other = fd.design(self.spec(), "other")
+        assert other is not filt and other.label == "other"
+        assert np.array_equal(other.h, filt.h)
+        assert fd.design(self.spec(lam=4.5), "memo") is not filt
+
+    def test_presets_are_kept_per_omega_list(self):
+        e = fd.design_preset("E")
+        assert fd.design_preset("E") is e
+        moved = fd.design_preset("E", omega_list=(0.87, 1.6022, 3.1416))
+        assert moved is not e
+        assert not np.array_equal(moved.h, e.h)
+
+    def test_cache_is_bounded(self):
+        for i in range(fd.DESIGN_CACHE_SIZE + 3):
+            fd.design_preset("E", omega_list=(0.85 + 0.002 * i, 1.6022, 3.1416))
+            assert fd.design.cache_info().currsize <= fd.DESIGN_CACHE_SIZE
+        assert fd.design.cache_info().maxsize == fd.DESIGN_CACHE_SIZE
+
+    def test_errors_are_not_kept(self):
+        misses = fd.design.cache_info().misses
+        for _ in range(2):
+            # Damping too weak: the whitening inverse misses its residual bound.
+            with pytest.raises(sg.IllConditionedError):
+                fd.design_preset("E", sigma_nb=-1e-14)
+        assert fd.design.cache_info().misses == misses + 2
+
+    def test_kept_filter_equals_a_fresh_solve(self, presets):
+        for lab, filt in presets.items():
+            fresh = fd.design.__wrapped__(filt.spec, label=lab)
+            assert fresh is not filt
+            assert np.array_equal(fresh.h, filt.h)
+            assert (fresh.wng, fresh.omega_delta, fresh.condition) == \
+                (filt.wng, filt.omega_delta, filt.condition)
+
+    def test_transform_is_built_once(self, presets):
+        filt = presets["C"]
+        assert filt.transform is filt.transform
+        fresh = sg.build_ortho_transform(filt.operators.psi,
+                                         filt.operators.weight.matrix)
+        for name in ("u", "w_scaled", "psi"):
+            assert np.array_equal(getattr(filt.transform, name), getattr(fresh, name))
+        assert np.array_equal(filt.transform.residual_factor, fresh.residual_factor)
+
+    def test_preset_cutoff_reads_the_kept_plain_design(self):
+        a = fd.design_preset("A", m=21)
+        hits = fd.design.cache_info().hits
+        assert fd.preset_cutoff(21, 5) == fd.cutoff_heuristic(a.omega_delta)
+        assert fd.design.cache_info().hits == hits + 1

@@ -312,6 +312,40 @@ class TestBatchedDetection:
             sg.calibrate_amplitude(seeds=())
 
 
+class TestKeptDesigns:
+    """Repeat runs reuse the kept designs and their transforms."""
+
+    def test_repeat_run_builds_nothing_again(self, monkeypatch):
+        fd.design.cache_clear()
+        built = []
+        build = fd.build_ortho_transform
+        monkeypatch.setattr(fd, "build_ortho_transform",
+                            lambda *args: built.append(args) or build(*args))
+        counts = []
+        for _ in range(2):
+            misses, before = fd.design.cache_info().misses, len(built)
+            amplitude = sg.calibrate_amplitude(seeds=(0, 1))
+            sg.run_experiment(scenarios=("low-white",), seeds=(0, 1),
+                              amplitude=amplitude)
+            counts.append((fd.design.cache_info().misses - misses,
+                           len(built) - before))
+        assert counts == [(6, 6), (0, 0)]
+
+    def test_reports_equal_a_fresh_design_and_transform(self):
+        kwargs = dict(scenarios=("low-white", "matched-colored"), seeds=(0, 3),
+                      amplitude=9.0)
+        sg.run_experiment(**kwargs)
+        seen = []
+        sg.run_experiment(sink=lambda *args: seen.append(args), **kwargs)
+        for trace, filters, reports in seen:
+            for lab, report in reports.items():
+                fresh = fd.design.__wrapped__(filters[lab].spec, label=lab)
+                assert fresh is not filters[lab]
+                for name, value in per_trace_report(fresh, trace).items():
+                    assert np.array_equal(getattr(report, name), value), \
+                        (trace.name, trace.seed, lab, name)
+
+
 def plain_calibration(target_db, tol_db, seeds, m, l, gap, lo=0.1, hi=1000.0,
                       max_iter=40):
     """Log-domain bisection that rebuilds and analyses every whole trace."""

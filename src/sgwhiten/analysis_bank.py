@@ -24,10 +24,9 @@ PRODUCT_MADDS = 1 << 18
 
 @dataclass(frozen=True)
 class SampleSequence:
-    """Uniformly sampled values with sampling period and absolute start index."""
+    """Uniformly sampled values with their absolute start index."""
 
     values: np.ndarray
-    ts: float = 1.0
     start: int = 0
 
     def __post_init__(self) -> None:
@@ -53,7 +52,6 @@ class FeatureSeries:
 
     coeffs: np.ndarray
     offset: int
-    ts: float = 1.0
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.coeffs, dtype=float)
@@ -64,10 +62,6 @@ class FeatureSeries:
 
     def __len__(self) -> int:
         return len(self.coeffs)
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.shape[1]
 
 
 def _taps(filt) -> np.ndarray:
@@ -89,7 +83,7 @@ def convolve(x: SampleSequence, filt) -> SampleSequence:
     k = (m - 1) // 2
     # y[n] = sum h[m] x[n-m] is the correlation of x with the reversed taps.
     interior = np.convolve(x.values, taps, mode="valid")
-    return SampleSequence(values=interior, ts=x.ts, start=x.start + k)
+    return SampleSequence(values=interior, start=x.start + k)
 
 
 def analyze(window: np.ndarray, h_matrix: np.ndarray) -> np.ndarray:
@@ -156,7 +150,7 @@ def run_bank(x: SampleSequence, h_matrix: np.ndarray) -> FeatureSeries:
         raise ValueError(f"input length {len(x)} is shorter than the window {m}")
     k = (m - 1) // 2
     coeffs = window_products(x.values, h_matrix.T)
-    return FeatureSeries(coeffs=coeffs, offset=x.start + k, ts=x.ts)
+    return FeatureSeries(coeffs=coeffs, offset=x.start + k)
 
 
 class StreamingBank:

@@ -52,6 +52,15 @@ CONFIG_SECTIONS = {
 }
 
 
+def _config(section: dict, key: str, kind: type, default=None):
+    """Config value ``key`` of ``section``, exactly a ``kind`` when present."""
+    value = section.get(key, default)
+    if value is not None and type(value) is not kind:
+        raise ConfigError(f"config value {key!r} must be a JSON {kind.__name__}, "
+                          f"got {value!r}")
+    return value
+
+
 def load_config(path: str | Path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -168,7 +177,11 @@ def load_filter_file(path: str | Path) -> dict:
         h = np.asarray(doc["h"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise FileFormatError(f"filter file {path}: taps are not numbers") from exc
-    if not isinstance(m, int) or m % 2 == 0:
+    for key in ("M", "L", "d"):
+        if type(doc[key]) is not int:
+            raise FileFormatError(f"filter file {path}: {key}={doc[key]!r} "
+                                  "is not an integer")
+    if m % 2 == 0:
         raise FileFormatError(f"filter file {path}: M={m!r} is not an odd integer")
     if h.shape != (m,):
         raise FileFormatError(f"filter file {path}: {h.size} taps for M={m}")
@@ -192,9 +205,9 @@ def _out_dir(args, config) -> Path:
 
 def cmd_design(args, config) -> int:
     section = config.get("design", {})
-    m = int(_require(section.get("M"), args.M, "M"))
-    l = int(_require(section.get("L"), args.L, "L"))
-    d = int(args.d if args.d is not None else section.get("d", 0))
+    m = _require(_config(section, "M", int), args.M, "M")
+    l = _require(_config(section, "L", int), args.L, "L")
+    d = args.d if args.d is not None else _config(section, "d", int, 0)
     ts = float(args.ts if args.ts is not None else section.get("ts", 1.0))
     preset = args.preset or section.get("preset")
 
@@ -221,8 +234,8 @@ def cmd_design(args, config) -> int:
 
 def cmd_response(args, config) -> int:
     doc = load_filter_file(args.filter_file)
-    grid = int(args.grid if args.grid is not None else
-               config.get("output", {}).get("grid", 4096))
+    grid = (args.grid if args.grid is not None else
+            _config(config.get("output", {}), "grid", int, 4096))
     fmt = args.format or config.get("output", {}).get("format", "csv")
     omega, resp = fd.frequency_response(doc["h"], grid)
     mag = np.abs(resp)
@@ -263,8 +276,7 @@ def cmd_filter(args, config) -> int:
                          label=doc.get("label", "custom"))
         taps = filt.h
     x = read_csv_column(Path(args.input), "x")
-    seq = SampleSequence(values=x, ts=doc.get("ts", 1.0))
-    filtered = convolve(seq, taps)
+    filtered = convolve(SampleSequence(values=x), taps)
     k = (len(taps) - 1) // 2
     out = _out_dir(args, config) / "filtered.csv"
     n = np.arange(filtered.start, filtered.start + len(filtered))
@@ -281,18 +293,19 @@ def _resolve_seeds(args, section) -> list[int]:
     if args.seed:
         return [int(s) for s in args.seed]
     if args.seeds is not None:
-        return list(range(int(args.seeds)))
+        return list(range(args.seeds))
     seeds = section.get("seeds", [0])
-    if isinstance(seeds, int):
+    if type(seeds) is int:
         return list(range(seeds))
-    return [int(s) for s in seeds]
+    if type(seeds) is not list or any(type(s) is not int for s in seeds):
+        raise ConfigError(f"config value 'seeds' must be a JSON int or a list "
+                          f"of them, got {seeds!r}")
+    return seeds
 
 
 def cmd_simulate(args, config) -> int:
     scen_cfg = config.get("scenario", {})
     det_cfg = config.get("detector", {})
-    m = int(args.M if args.M is not None else 17)
-    l = int(args.L if args.L is not None else 5)
     scenario = args.scenario or scen_cfg.get("name") or "all"
     scenarios = sim.SCENARIOS if scenario == "all" else (scenario,)
     for name in scenarios:
@@ -301,27 +314,27 @@ def cmd_simulate(args, config) -> int:
                               f"expected one of {sim.SCENARIOS} or 'all'")
     seeds = _resolve_seeds(args, scen_cfg)
     amplitude = float(scen_cfg.get("amplitude", sim.DEFAULT_AMPLITUDE))
-    gap = scen_cfg.get("gap")
+    gap = _config(scen_cfg, "gap", int)
     gamma_db = float(args.gamma_db if args.gamma_db is not None else
                      det_cfg.get("gamma_db", DEFAULT_GAMMA_DB))
     epsilon = float(det_cfg.get("epsilon", DEFAULT_EPSILON))
     masks = HypothesisMask(
         foreground_keep=det_cfg.get("foreground_keep", (2,)),
         background_zero=det_cfg.get("background_zero", (0, 2)))
-    colored_white = bool(scen_cfg.get("colored_white_noise", False))
+    colored_white = _config(scen_cfg, "colored_white_noise", bool, False)
     fmt = args.format or config.get("output", {}).get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {fmt!r}")
     out_dir = _out_dir(args, config)
 
-    result = sim.run_experiment(scenarios=scenarios, m=m, l=l,
+    result = sim.run_experiment(scenarios=scenarios, m=args.M, l=args.L,
                                 gamma_db=gamma_db, seeds=seeds,
                                 amplitude=amplitude,
-                                gap=None if gap is None else int(gap),
+                                gap=gap,
                                 epsilon=epsilon, masks=masks,
                                 colored_white_noise=colored_white,
                                 sink=partial(_write_seed_outputs, out_dir,
-                                             gamma_db, m))
+                                             gamma_db, args.M))
     _write_table(out_dir, result, fmt)
     for name in scenarios:
         cells = " ".join(f"{lab}={result.cells[(name, lab)].median_db:6.1f}"
@@ -344,8 +357,7 @@ def _write_seed_outputs(out_dir, gamma_db, m, trace, filters, reports) -> None:
                            "sign": p.sign} for p in trace.pulses],
                "filters": {}}
     for lab, filt in filters.items():
-        seq = SampleSequence(values=trace.x, ts=trace.ts)
-        smoothed = convolve(seq, filt.h)
+        smoothed = convolve(SampleSequence(values=trace.x), filt.h)
         report = reports[lab]
         z_db = np.maximum(report.z_db, DB_FLOOR)
         decision_db = np.maximum(report.decision_db, DB_FLOOR)
@@ -432,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seeds", type=int, help="use seeds 0..N-1")
     p_sim.add_argument("--gamma-db", dest="gamma_db", type=float,
                        help="detection threshold in dB (default 20)")
-    p_sim.add_argument("--M", type=int, help="window length (default 17)")
-    p_sim.add_argument("--L", type=int, help="monomial terms (default 5)")
+    p_sim.add_argument("--M", type=int, default=17, help="window length (default 17)")
+    p_sim.add_argument("--L", type=int, default=5, help="monomial terms (default 5)")
     p_sim.add_argument("--format", choices=("csv", "json"))
     return parser
 

@@ -127,7 +127,8 @@ class MaskFactors:
 
     ``foreground`` is L x |F| and holds C_F' in the rows F (zero elsewhere),
     so a @ foreground = (C_F a_F)' without gathering the columns; likewise
-    ``background`` for B.  ``share`` is ``noise_share``'s nu.
+    ``background`` for B.  ``share`` is the noise share nu: the noise power
+    in the fitted foreground per unit of residual power.
     """
 
     foreground: np.ndarray
@@ -280,17 +281,6 @@ def residual_power(samples: np.ndarray, transform: OrthoTransform) -> np.ndarray
     return power
 
 
-def noise_share(transform: OrthoTransform,
-                masks: HypothesisMask = DEFAULT_MASKS) -> float:
-    """Noise power in the fitted foreground per unit of residual power.
-
-    Noise with covariance s W_s^-1 puts s tr(G_FF (G^-1)_FF) into the
-    foreground power and s (M - L) into the residual power, G = U'U.  The
-    value is kept on the transform, one per mask.
-    """
-    return transform.mask_factors(masks).share
-
-
 def _powers(coeffs: np.ndarray, transform: OrthoTransform,
             masks: HypothesisMask, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Fitted foreground and background powers |C_F a_F|^2, |C_B a_B|^2 per
@@ -328,13 +318,10 @@ def power_ratio(coeffs: np.ndarray, transform: OrthoTransform,
     return p1 / (p0 + epsilon)
 
 
-def to_decibels(z: np.ndarray, floor_db: float | None = None) -> np.ndarray:
-    """10 log10 of a power ratio; optionally clamped at a floor."""
+def to_decibels(z: np.ndarray) -> np.ndarray:
+    """10 log10 of a power ratio; -inf where the ratio is zero."""
     with np.errstate(divide="ignore"):
-        db = 10.0 * np.log10(np.asarray(z, dtype=float))
-    if floor_db is not None:
-        db = np.maximum(db, floor_db)
-    return db
+        return 10.0 * np.log10(np.asarray(z, dtype=float))
 
 
 def _check_threshold(gamma_db: float) -> None:
@@ -388,7 +375,7 @@ def detection_statistics(coeffs: np.ndarray, transform: OrthoTransform,
                          f"{p1.shape}; both must cover the same windows")
     denominator = p0 + epsilon
     z = p1 / denominator
-    noise = noise_share(transform, masks) * residual
+    noise = transform.mask_factors(masks).share * residual
     return z, to_decibels(z), to_decibels(np.maximum(p1 - noise, 0.0) / denominator)
 
 

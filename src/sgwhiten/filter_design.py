@@ -9,9 +9,9 @@ routes are provided and cross-checked:
 * the explicit weighted-least-squares form H = (psi' W psi)^-1 psi' W with
   W = R^-1, followed by tap extraction h' = mu' D^d H.
 
-Diagnostics include the white-noise gain (sum of squared taps), the
-frequency response, and the first-null frequency used by the preset
-cut-off heuristic omega_c = 0.75 * omega_delta.
+Diagnostics follow from the taps and weights: the white-noise gain (sum of
+squared taps), the conditioning, the frequency response, and the first-null
+frequency used by the preset cut-off heuristic omega_c = 0.75 * omega_delta.
 
 Presets A-F reproduce a standard design progression at M = 17, L = 5:
 A plain least squares, B Gaussian kernel taper, C low-pass Gauss-Markov,
@@ -101,15 +101,14 @@ class RegressionOperators:
 
 @dataclass(frozen=True)
 class DesignedFilter:
-    """Immutable design result: taps h[m] for m = -K..K plus diagnostics."""
+    """Immutable design result: taps h[m] for m = -K..K, the operators and
+    spec behind them, and diagnostics derived from them; ``omega_delta`` is
+    found on first read and kept."""
 
     h: np.ndarray
     operators: RegressionOperators
-    wng: float
-    omega_delta: float | None
-    condition: float
-    label: str = "custom"
-    spec: DesignSpec | None = None
+    spec: DesignSpec
+    label: str
 
     def __post_init__(self) -> None:
         taps = np.asarray(self.h, dtype=float)
@@ -119,6 +118,19 @@ class DesignedFilter:
     @property
     def half_length(self) -> int:
         return (len(self.h) - 1) // 2
+
+    @property
+    def wng(self) -> float:
+        return white_noise_gain(self.h)
+
+    @property
+    def condition(self) -> float:
+        return self.operators.weight.condition
+
+    @functools.cached_property
+    def omega_delta(self) -> float | None:
+        # The dc-relative grid fallback is meaningless when H(0) = 0.
+        return first_null_frequency(self.h, "auto" if self.spec.d == 0 else "roots")
 
     @functools.cached_property
     def transform(self) -> OrthoTransform:
@@ -237,12 +249,11 @@ def response_at(h: np.ndarray, omega) -> np.ndarray:
     return np.exp(-1j * np.outer(omega, shifts)) @ taps
 
 
-def first_null_frequency(h: np.ndarray, method: str = "auto",
-                         circle_tol: float = 1e-3) -> float | None:
+def first_null_frequency(h: np.ndarray, method: str = "auto") -> float | None:
     """Frequency of the transfer-function zero nearest dc on the unit circle.
 
     ``roots`` finds zeros of the tap polynomial via companion-matrix
-    eigenvalues, keeps those within ``circle_tol`` of the unit circle with
+    eigenvalues, keeps those within 1e-3 of the unit circle with
     argument in (0, pi], and returns the smallest argument.  ``grid`` refines
     local minima of |H| and accepts the first that drops below 1e-6 of the dc
     gain.  ``auto`` tries roots first, then the grid.  Returns None when no
@@ -256,7 +267,7 @@ def first_null_frequency(h: np.ndarray, method: str = "auto",
     if method in ("auto", "roots"):
         zeros = np.roots(taps)
         args = np.angle(zeros)
-        keep = (np.abs(1.0 - np.abs(zeros)) <= circle_tol) & (args > 1e-12) \
+        keep = (np.abs(1.0 - np.abs(zeros)) <= 1e-3) & (args > 1e-12) \
             & (args <= math.pi + 1e-12)
         if np.any(keep):
             candidates = np.sort(args[keep])
@@ -266,8 +277,8 @@ def first_null_frequency(h: np.ndarray, method: str = "auto",
     return _first_null_grid(taps)
 
 
-def _first_null_grid(taps: np.ndarray, grid_size: int = 8192) -> float | None:
-    omega, resp = frequency_response(taps, grid_size)
+def _first_null_grid(taps: np.ndarray) -> float | None:
+    omega, resp = frequency_response(taps, 8192)
     mag = np.abs(resp)
     dc = mag[0]
     if dc == 0.0:
@@ -280,7 +291,7 @@ def _first_null_grid(taps: np.ndarray, grid_size: int = 8192) -> float | None:
     return None
 
 
-def _refine_minimum(taps, lo, hi, iterations=80):
+def _refine_minimum(taps, lo, hi):
     # Golden-section search on |H(omega)|.
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -288,7 +299,7 @@ def _refine_minimum(taps, lo, hi, iterations=80):
     d = a + inv_phi * (b - a)
     fc = abs(response_at(taps, c)[0])
     fd = abs(response_at(taps, d)[0])
-    for _ in range(iterations):
+    for _ in range(80):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -308,12 +319,12 @@ def cutoff_heuristic(omega_delta: float) -> float:
     return 0.75 * omega_delta
 
 
-def sidelobe_peak(h: np.ndarray, grid_size: int = 8192) -> float:
+def sidelobe_peak(h: np.ndarray) -> float:
     """Largest |H(omega)| beyond the first null (the worst side-lobe)."""
     omega_delta = first_null_frequency(h)
     if omega_delta is None:
         raise ValueError("design has no null; side-lobe level undefined")
-    omega, resp = frequency_response(h, grid_size)
+    omega, resp = frequency_response(h, 8192)
     beyond = omega > omega_delta
     if not np.any(beyond):
         return 0.0
@@ -322,7 +333,7 @@ def sidelobe_peak(h: np.ndarray, grid_size: int = 8192) -> float:
 
 @functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
 def design(spec: DesignSpec, label: str = "custom") -> DesignedFilter:
-    """Solve a design spec into taps, operators, and diagnostics.
+    """Solve a design spec into taps and operators.
 
     The last DESIGN_CACHE_SIZE results are kept by their arguments, so a
     repeat call returns the same filter; errors are raised afresh.
@@ -355,14 +366,7 @@ def design(spec: DesignSpec, label: str = "custom") -> DesignedFilter:
 
     operators = RegressionOperators(psi=psi, weight=weight, h_matrix=h_matrix,
                                     deriv=deriv, mu=mu)
-    if spec.d == 0:
-        omega_delta = first_null_frequency(taps, method="auto")
-    else:
-        # The dc-relative grid fallback is meaningless when H(0) = 0.
-        omega_delta = first_null_frequency(taps, method="roots")
-    return DesignedFilter(h=taps, operators=operators, wng=white_noise_gain(taps),
-                          omega_delta=omega_delta, condition=weight.condition,
-                          label=label, spec=spec)
+    return DesignedFilter(h=taps, operators=operators, spec=spec, label=label)
 
 
 def design_preset(label: str, m: int = 17, l: int = 5, d: int = 0,

@@ -142,18 +142,21 @@ class AutocorrSequence:
     """One-sided autocorrelation R[m] at lags m = 0..kmax (symmetric in m)."""
 
     values: np.ndarray
-    kmax: int
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        if vals.shape != (self.kmax + 1,):
-            raise ValueError("values must cover lags 0..kmax")
+        if vals.ndim != 1 or not len(vals):
+            raise ValueError("values must be a 1-d sequence of lags 0..kmax")
         if vals[0] <= 0:
             raise ValueError("R[0] must be positive")
         if np.any(np.abs(vals) > vals[0] * (1 + 1e-12)):
             raise ValueError("|R[m]| may not exceed R[0] for a WSS process")
+
+    @property
+    def kmax(self) -> int:
+        return len(self.values) - 1
 
     def __getitem__(self, m: int) -> float:
         return float(self.values[abs(m)])
@@ -223,7 +226,7 @@ def wideband_autocorr(omega_c: float, omega_d: float, kmax: int) -> AutocorrSequ
     if kmax >= 1:
         mm = m[1:]
         vals[1:] = 2.0 * np.sin(omega_d * mm) / mm - 2.0 * np.sin(omega_c * mm) / mm
-    return AutocorrSequence(values=vals, kmax=kmax)
+    return AutocorrSequence(values=vals)
 
 
 def narrowband_autocorr(poles, ts: float, kmax: int) -> AutocorrSequence:
@@ -241,7 +244,7 @@ def narrowband_autocorr(poles, ts: float, kmax: int) -> AutocorrSequence:
         if not 0 < omega * ts <= math.pi + ALIAS_TOL:
             raise ValueError(f"pole frequency Omega*Ts = {omega * ts:.4g} outside (0, pi]")
         vals += np.exp(sig * ts * m) * np.cos(omega * ts * m)
-    return AutocorrSequence(values=vals, kmax=kmax)
+    return AutocorrSequence(values=vals)
 
 
 def gauss_markov_lowpass_autocorr(lam: float, kmax: int) -> AutocorrSequence:
@@ -250,7 +253,7 @@ def gauss_markov_lowpass_autocorr(lam: float, kmax: int) -> AutocorrSequence:
         raise ValueError("correlation scale lam must be positive")
     rho = math.exp(-1.0 / lam)
     vals = rho ** np.arange(kmax + 1, dtype=float)
-    return AutocorrSequence(values=vals, kmax=kmax)
+    return AutocorrSequence(values=vals)
 
 
 def gaussian_kernel_weights(lam: float, kmax: int) -> WeightMatrix:
@@ -351,7 +354,7 @@ class _Family(NamedTuple):
 
 _KINDS = {
     "white": _Family(
-        (), lambda model, kmax: AutocorrSequence(values=np.eye(1, kmax + 1)[0], kmax=kmax),
+        (), lambda model, kmax: AutocorrSequence(values=np.eye(1, kmax + 1)[0]),
         "identity"),
     # A weighting kernel, not a process: it has no autocorrelation.
     "gaussian-kernel": _Family(("lam",), None, "diagonal-kernel"),

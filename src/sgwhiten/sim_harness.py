@@ -12,9 +12,9 @@ offset and a slow 5 mV background sinusoid, plus scenario noise:
 Colored scenarios carry no white-noise floor by default; pass
 ``colored_white_noise=True`` to add the low-scenario floor back.  All
 randomness (phases, noise) comes from numpy's default_rng (PCG64) seeded per
-trace, so identical seeds give bit-identical traces.  Golden traces for
-regression live in the test suite, so cross-library generator parity is not
-required.
+trace, so identical seeds give bit-identical traces.  Time is counted in
+samples: traces carry no sampling period.  Golden traces for regression
+live in the test suite, so cross-library generator parity is not required.
 
 The experiment runner designs every preset (``filter_design.design`` keeps
 the designs, and each filter its detector transform, so repeat runs reuse
@@ -26,12 +26,12 @@ dropped.  It aggregates a scenarios-by-filters matrix of medium-pulse
 peak SNRs (peaks of the fitted ratio Z), in the shape of a standard
 comparison table.  Detection patterns count crossings of the
 noise-corrected statistic D, which needs the trace samples as well as the
-bank's coefficients (see ``detector``).  Amplitude calibration reads only
-the Z peak of the medium pulse: it builds each seed's trace once and, per
-bisection step, recomposes only the samples that peak reads, for all seeds
-in one bank pass.  A window's bank row depends only on the window
-(``analysis_bank.window_products``), so both give the results of whole
-traces analysed one at a time, bit for bit.
+bank's coefficients (see ``detector``).  Amplitude calibration bisects over
+pulse amplitudes 0.1 to 1000 and reads only the Z peak of the medium pulse:
+it builds each seed's trace once and, per bisection step, recomposes only
+the samples that peak reads, for all seeds in one bank pass.  A window's
+bank row depends only on the window (``analysis_bank.window_products``), so
+both give the results of whole traces analysed one at a time, bit for bit.
 """
 
 from __future__ import annotations
@@ -92,7 +92,6 @@ class ScenarioTrace:
     components: dict
     pulses: tuple
     amplitude: float
-    ts: float = 1.0
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.x, dtype=float)
@@ -200,7 +199,7 @@ def _compose(parts) -> np.ndarray:
 
 
 def build_trace(scenario: str, seed: int, amplitude: float = DEFAULT_AMPLITUDE,
-                gap: int = DEFAULT_GAP, ts: float = 1.0,
+                gap: int = DEFAULT_GAP,
                 colored_white_noise: bool = False) -> ScenarioTrace:
     """Assemble a seeded scenario trace; the composite is the exact component sum.
 
@@ -222,7 +221,7 @@ def build_trace(scenario: str, seed: int, amplitude: float = DEFAULT_AMPLITUDE,
     components.update(gen_noise(scenario, num, rng, colored_white_noise))
     return ScenarioTrace(name=scenario, seed=seed,
                          x=_compose(components.values()), components=components,
-                         pulses=truth, amplitude=amplitude, ts=ts)
+                         pulses=truth, amplitude=amplitude)
 
 
 def _end_to_end(x: np.ndarray, m: int) -> np.ndarray:
@@ -259,8 +258,7 @@ def detect_traces(filt: fd.DesignedFilter, traces,
     m = filt.spec.m
     x = _end_to_end(np.stack([trace.x for trace in traces]), m)
     residual = _by_trace(residual_power(x, filt.transform), len(traces), m)
-    features = run_bank(SampleSequence(values=x, ts=traces[0].ts),
-                        filt.operators.h_matrix)
+    features = run_bank(SampleSequence(values=x), filt.operators.h_matrix)
     stats = detection_statistics(_by_trace(features.coeffs, len(traces), m),
                                  filt.transform, residual, masks=masks,
                                  epsilon=epsilon)
@@ -440,18 +438,17 @@ def _medium_peaks(filt: fd.DesignedFilter, traces, gap: int,
 def calibrate_amplitude(target_db: float = 28.5, tol_db: float = 1.0,
                         seeds=range(20), m: int = 17, l: int = 5,
                         gap: int | None = None,
-                        epsilon: float = DEFAULT_EPSILON,
-                        lo: float = 0.1, hi: float = 1000.0,
-                        max_iter: int = 40) -> float:
+                        epsilon: float = DEFAULT_EPSILON) -> float:
     """Pulse amplitude that puts the plain preset's low-white medium-pulse
     peak SNR (median over seeds) at the target level.
 
     The median peak grows monotonically with amplitude, so a log-domain
-    bisection converges; iteration stops once the median is within a tenth
-    of ``tol_db`` of the target.  Each seed's trace is built once, and an
-    evaluation recomposes and analyses only the samples the medium-pulse
-    peak reads (``_medium_peaks``): the peaks are those of whole traces at
-    that amplitude, bit for bit.  Raises ValueError when there is no seed.
+    bisection over amplitudes 0.1 to 1000 converges; iteration stops once
+    the median is within a tenth of ``tol_db`` of the target, or after 40
+    steps.  Each seed's trace is built once, and an evaluation recomposes
+    and analyses only the samples the medium-pulse peak reads
+    (``_medium_peaks``): the peaks are those of whole traces at that
+    amplitude, bit for bit.  Raises ValueError when there is no seed.
     """
     seeds = tuple(seeds)
     if not seeds:
@@ -465,9 +462,10 @@ def calibrate_amplitude(target_db: float = 28.5, tol_db: float = 1.0,
     def median_peak(amplitude: float) -> float:
         return float(np.median(peaks(amplitude)))
 
+    lo, hi = 0.1, 1000.0
     if not median_peak(lo) < target_db < median_peak(hi):
         raise ValueError("calibration target outside the amplitude bracket")
-    for _ in range(max_iter):
+    for _ in range(40):
         mid = math.sqrt(lo * hi)
         value = median_peak(mid)
         if abs(value - target_db) <= 0.1 * tol_db:

@@ -91,6 +91,13 @@ class TestDesign:
         assert doc["M"] == 17 and doc["L"] == 5 and doc["d"] == 0
         assert len(doc["h"]) == 17
 
+    def test_golden_artifact_bytes(self, tmp_path):
+        rc = run(["design", "--preset", "A", "--M", 17, "--L", 5,
+                  "--out", tmp_path])
+        assert rc == 0
+        assert (tmp_path / "filter_A.json").read_bytes() \
+            == (GOLDEN / "filter_A.json").read_bytes()
+
     def test_roundtrip_exact(self, tmp_path, presets):
         rc = run(["design", "--preset", "E", "--M", 17, "--L", 5,
                   "--out", tmp_path])
@@ -271,10 +278,17 @@ class TestFilterCommand:
         assert "'x'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["taps-length", "even-M", "non-finite",
-                                      "non-numeric"])
+                                      "non-numeric", "L-string", "M-bool"])
     def test_bad_filter_file_rejected(self, tmp_path, case, capsys):
         doc = json.loads((GOLDEN / "filter_A.json").read_text())
-        if case == "taps-length":
+        # The L-string file is run with --d, which re-derives the taps from L.
+        flags = ["--d", 1] if case == "L-string" else []
+        if case == "L-string":
+            doc["L"] = "5"
+        elif case == "M-bool":
+            doc["M"] = True
+            doc["h"] = doc["h"][:1]
+        elif case == "taps-length":
             doc["h"] = doc["h"][:-2]
         elif case == "even-M":
             doc["M"] = 16
@@ -287,7 +301,7 @@ class TestFilterCommand:
         bad.write_text(json.dumps(doc))
         data = tmp_path / "in.csv"
         write_csv(data, ("x",), [np.arange(40.0)])
-        rc = run(["filter", bad, "--input", data, "--out", tmp_path])
+        rc = run(["filter", bad, "--input", data, *flags, "--out", tmp_path])
         assert rc == 4
         assert "file error" in capsys.readouterr().err
         assert not (tmp_path / "filtered.csv").exists()
@@ -482,11 +496,46 @@ class TestDetectionCsv:
 class TestGoldenTrace:
     def test_seeded_trace_matches_fixture(self):
         # Committed trace: low-white, seed 0, default amplitude and gap.
-        # Comparison is on parsed numbers, not raw bytes.
+        # Comparison is on parsed numbers, which round-trip bit for bit.
         x_golden = read_csv_column(GOLDEN / "trace_low_white_seed0.csv", "x")
         trace = sg.build_trace("low-white", seed=0)
-        assert len(x_golden) == len(trace.x)
-        assert np.allclose(trace.x, x_golden, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(trace.x, x_golden)
+
+
+class TestConfigTypes:
+    """Integer config values are JSON integers and flags JSON booleans;
+    anything else is a config error, never a silently converted value."""
+
+    COMMANDS = {"design": ["--preset", "A"],
+                "simulate": ["--scenario", "low-white"],
+                "response": [GOLDEN / "filter_A.json"]}
+
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("design", "design", "M", 17.9),
+        ("design", "design", "L", "5"),
+        ("design", "design", "L", True),
+        ("design", "design", "d", 0.5),
+        ("simulate", "scenario", "seeds", "12"),
+        ("simulate", "scenario", "seeds", 2.5),
+        ("simulate", "scenario", "seeds", [0, 1.0]),
+        ("simulate", "scenario", "gap", 10.6),
+        ("response", "output", "grid", 100.7),
+        ("simulate", "scenario", "colored_white_noise", "false"),
+    ], ids=["M-float", "L-string", "L-bool", "d-float", "seeds-string", "seeds-float",
+            "seed-float", "gap-float", "grid-float", "colored-string"])
+    def test_wrong_type_is_config_error(self, tmp_path, capsys, command,
+                                        section, key, value):
+        doc = {"design": {"M": 17, "L": 5}}
+        doc.setdefault(section, {})[key] = value
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = run([command, *self.COMMANDS[command], "--config", config,
+                  "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "config error" in err and repr(key) in err
+        assert not out.exists()
 
 
 class TestEntryPoint:

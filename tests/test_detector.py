@@ -8,7 +8,7 @@ from sgwhiten.analysis_bank import (BLOCK_BYTES, FeatureSeries, SampleSequence,
                                     run_bank, window_products)
 from sgwhiten.detector import (DEFAULT_MASKS, RESIDUAL_BYTES, HypothesisMask,
                                build_ortho_transform,
-                               compute_statistic, detect, noise_share, peak_snr,
+                               compute_statistic, detect, peak_snr,
                                residual_power, threshold_detect, to_decibels)
 from sgwhiten.errors import NotPositiveDefiniteError
 
@@ -161,7 +161,7 @@ class TestGramBlockKernel:
             p1 = np.sum(((coeffs * masks.foreground_vector(l)) @ tr.u.T) ** 2, axis=1)
             p0 = np.sum(((coeffs * masks.background_vector(l)) @ tr.u.T) ** 2, axis=1)
             want_z = p1 / (p0 + eps)
-            noise = noise_share(tr, masks) * residual
+            noise = tr.mask_factors(masks).share * residual
             want_d = np.maximum(p1 - noise, 0.0) / (p0 + eps)
             z = compute_statistic(feats, tr, masks=masks, epsilon=eps)
             report = detect(feats, tr, residual, masks=masks, epsilon=eps)
@@ -210,13 +210,15 @@ class TestNoiseCorrection:
         gram = tr.u.T @ tr.u
         p1 = gram[2, 2] * a2 ** 2
         r = np.sum((noise @ tr.residual_factor) ** 2, axis=1)
-        assert p1.mean() == pytest.approx(noise_share(tr) * r.mean(), rel=0.03)
+        share = tr.mask_factors(DEFAULT_MASKS).share
+        assert p1.mean() == pytest.approx(share * r.mean(), rel=0.03)
 
     def test_noise_share_grows_with_collinearity(self, transforms):
         # The share is the quadratic coefficient's variance inflation over the
         # residual dimensions; F's metric leaves the quadratic column nearly
         # inside the span of the constant and quartic ones.
-        shares = {lab: noise_share(tr) for lab, tr in transforms.items()}
+        shares = {lab: tr.mask_factors(DEFAULT_MASKS).share
+                  for lab, tr in transforms.items()}
         for lab, tr in transforms.items():
             gram = tr.u.T @ tr.u
             inflation = gram[2, 2] * np.linalg.inv(gram)[2, 2]
@@ -232,11 +234,11 @@ class TestNoiseCorrection:
         for masks in (DEFAULT_MASKS, wide, DEFAULT_MASKS):
             keep = np.ix_(masks.foreground_keep, masks.foreground_keep)
             want = np.trace(gram[keep] @ inv[keep]) / (17 - 5)
-            assert noise_share(tr, masks) == pytest.approx(want, rel=1e-9)
+            assert tr.mask_factors(masks).share == pytest.approx(want, rel=1e-9)
 
     def test_exact_fit_has_no_residual(self):
         tr = build_ortho_transform(sg.build_vandermonde(5, 5), np.eye(5))
-        assert noise_share(tr) == 0.0
+        assert tr.mask_factors(DEFAULT_MASKS).share == 0.0
         assert np.all(residual_power(np.arange(12.0) ** 3, tr) <= 1e-6)
 
     def test_events_are_decision_crossings_below_z(self, presets, transforms):

@@ -397,3 +397,33 @@ class TestDesignMemo:
         hits = fd.design.cache_info().hits
         assert fd.preset_cutoff(21, 5) == fd.cutoff_heuristic(a.omega_delta)
         assert fd.design.cache_info().hits == hits + 1
+
+
+class TestDerivedDiagnostics:
+    """A filter's diagnostics follow from its taps and weights."""
+
+    def test_first_null_is_found_on_first_read_only(self, monkeypatch):
+        calls = []
+        real = fd.first_null_frequency
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fd, "first_null_frequency", counted)
+        filt = fd.design.__wrapped__(fd.DesignSpec(m=17, l=5, d=0), label="A")
+        assert calls == []
+        first = filt.omega_delta
+        assert len(calls) == 1
+        assert filt.omega_delta == first
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("m", [17, 33])
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    @pytest.mark.parametrize("label", sg.PRESET_LABELS)
+    def test_diagnostics_equal_their_definitions(self, label, d, m):
+        filt = fd.design_preset(label, m=m, d=d)
+        method = "auto" if d == 0 else "roots"
+        assert filt.omega_delta == fd.first_null_frequency(filt.h, method)
+        assert filt.wng == fd.white_noise_gain(filt.h)
+        assert filt.condition == filt.operators.weight.condition

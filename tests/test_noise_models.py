@@ -134,17 +134,17 @@ class TestGaussianKernel:
 
 class TestToeplitz:
     def test_delta_gives_identity(self):
-        acf = nm.AutocorrSequence(values=np.array([1.0, 0.0, 0.0]), kmax=2)
+        acf = nm.AutocorrSequence(values=np.array([1.0, 0.0, 0.0]))
         assert np.array_equal(nm.toeplitz_from_autocorr(acf, 3), np.eye(3))
 
     def test_kms_structure(self):
         rho = 0.45
-        acf = nm.AutocorrSequence(values=np.array([1.0, rho, rho ** 2]), kmax=2)
+        acf = nm.AutocorrSequence(values=np.array([1.0, rho, rho ** 2]))
         expected = np.array([[1, rho, rho ** 2], [rho, 1, rho], [rho ** 2, rho, 1]])
         assert np.allclose(nm.toeplitz_from_autocorr(acf, 3), expected, atol=1e-15)
 
     def test_insufficient_lags_rejected(self):
-        acf = nm.AutocorrSequence(values=np.array([1.0, 0.5]), kmax=1)
+        acf = nm.AutocorrSequence(values=np.array([1.0, 0.5]))
         with pytest.raises(ValueError):
             nm.toeplitz_from_autocorr(acf, 4)
 

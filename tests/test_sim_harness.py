@@ -11,7 +11,7 @@ from sgwhiten import filter_design as fd
 from sgwhiten.analysis_bank import SampleSequence, run_bank, window_products
 from sgwhiten.detector import (DEFAULT_EPSILON, DEFAULT_MASKS, HypothesisMask,
                                build_ortho_transform, compute_statistic,
-                               noise_share, peak_snr, threshold_detect,
+                               peak_snr, threshold_detect,
                                to_decibels)
 
 
@@ -231,8 +231,8 @@ def per_trace_report(filt, trace, masks=DEFAULT_MASKS, epsilon=DEFAULT_EPSILON,
     residual = np.einsum("nk,nk->n", out, out)
     z = p1 / (p0 + epsilon)
     z_db = to_decibels(z)
-    decision_db = to_decibels(np.maximum(p1 - noise_share(tr, masks) * residual,
-                                         0.0) / (p0 + epsilon))
+    noise = tr.mask_factors(masks).share * residual
+    decision_db = to_decibels(np.maximum(p1 - noise, 0.0) / (p0 + epsilon))
     return {"z": z, "z_db": z_db, "decision_db": decision_db,
             "events": threshold_detect(decision_db, gamma_db, feats.offset),
             "peak_snr_db": tuple(peak_snr(z_db, trace.extents(), feats.offset,

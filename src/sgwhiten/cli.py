@@ -2,8 +2,11 @@
 
 All file formats live here.  CSV files are comma-separated with a header
 row, LF newlines, '#'-prefixed metadata comments, and full-precision floats
-(shortest round-trip representation).  ``write_csv`` takes whole columns and
-formats each by its dtype.  Filter artifacts are JSON documents
+(shortest round-trip representation).  ``write_csv`` takes whole columns,
+formats each by its dtype and writes 4096-row blocks, each joined into one
+string.  ``read_csv_column`` reads the whole file in one pass and parses its
+column a block of rows at a time; an error still names the physical line of
+the first bad row.  Filter artifacts are JSON documents
 carrying the complete design provenance, so reloading one reproduces the
 in-memory values exactly; a file whose taps are not M finite numbers for an
 odd M is rejected.
@@ -22,7 +25,9 @@ import argparse
 import csv
 import json
 import sys
-from functools import partial
+from functools import cache, partial
+from itertools import compress, count, islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -52,11 +57,19 @@ CONFIG_SECTIONS = {
 }
 
 
-def _config(section: dict, key: str, kind: type, default=None):
-    """Config value ``key`` of ``section``, exactly a ``kind`` when present."""
-    value = section.get(key, default)
-    if value is not None and type(value) is not kind:
-        raise ConfigError(f"config value {key!r} must be a JSON {kind.__name__}, "
+_NUMBER = (int, float)  # a JSON number; ``type`` is checked exactly, so no bool
+
+
+def _config(section: dict, key: str, kind, default=None):
+    """Config value ``key`` of ``section``, exactly a ``kind`` (a type or a
+    tuple of types) when present; a JSON null counts as absent."""
+    value = section.get(key)
+    if value is None:
+        return default
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if type(value) not in kinds:
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ConfigError(f"config value {key!r} must be a JSON {names}, "
                           f"got {value!r}")
     return value
 
@@ -103,47 +116,61 @@ def write_csv(path: Path, header, columns, comments=()) -> None:
         for start in range(0, max(lengths, default=0), _CHUNK_ROWS):
             fields = [map(fmt, col[start:start + _CHUNK_ROWS].tolist())
                       for fmt, col in zip(formats, columns)]
-            fh.writelines(",".join(row) + "\n" for row in zip(*fields))
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 def read_csv_column(path: Path, column: str):
     """Read one numeric column; malformed rows are reported with line numbers.
 
-    One reader parses the non-blank, non-'#' lines; ``lineno`` is the
-    physical number of the line it consumed last.
+    The file is read in one pass.  Blank and '#' lines are dropped from its
+    line list, one ``csv.reader`` parses the rest, and each block of
+    ``_CHUNK_ROWS`` rows has its field counts checked and the column parsed
+    with ``float`` by C-level ``map`` calls.  Only when a block fails are the
+    rows read again one by one, to name the physical line of the first bad
+    row: the last line the reader consumed for it.
     """
-    lineno = 0
-
-    def data_lines(fh):
-        nonlocal lineno
-        for lineno, line in enumerate(fh, start=1):
-            if line.rstrip("\n") and not line.startswith("#"):
-                yield line
-
     with open(path, encoding="utf-8") as fh:
-        header = None
-        values = []
-        for fields in csv.reader(data_lines(fh)):
-            if header is None:
-                header = fields
-                if column not in header:
-                    raise FileFormatError(
-                        f"{path}: missing required column {column!r}")
-                idx = header.index(column)
-                continue
-            if len(fields) != len(header):
-                raise FileFormatError(
-                    f"{path}: line {lineno}: expected {len(header)} fields, "
-                    f"got {len(fields)}")
-            try:
-                values.append(float(fields[idx]))
-            except ValueError as exc:
-                raise FileFormatError(
-                    f"{path}: line {lineno}: bad value for {column!r}: "
-                    f"{fields[idx]!r}") from exc
-        if header is None:
-            raise FileFormatError(f"{path}: empty CSV")
+        lines = fh.readlines()
+    kept = [line != "\n" and line[0] != "#" for line in lines]
+    data = list(compress(lines, kept))
+    rows = csv.reader(data)
+    header = next(rows, None)
+    if header is None:
+        raise FileFormatError(f"{path}: empty CSV")
+    if column not in header:
+        raise FileFormatError(f"{path}: missing required column {column!r}")
+    width, field = len(header), itemgetter(header.index(column))
+    values = []
+    try:
+        while block := list(islice(rows, _CHUNK_ROWS)):
+            if list(map(len, block)).count(width) != len(block):
+                raise ValueError("wrong field count")
+            values += map(float, map(field, block))
+    except (ValueError, csv.Error):
+        _raise_first_bad_row(path, column, data, list(compress(count(1), kept)))
+        raise  # not reached: the row-by-row read meets the same error
     return np.asarray(values)
+
+
+def _raise_first_bad_row(path, column, data, line_numbers) -> None:
+    """Read ``data`` row by row and raise the first error met: the
+    ``FileFormatError`` of a row with the wrong field count or a bad value,
+    or the reader's own ``csv.Error``.  ``line_numbers`` gives each line's
+    physical number."""
+    rows = csv.reader(data)
+    header = next(rows)
+    width, idx = len(header), header.index(column)
+    for fields in rows:
+        line = line_numbers[rows.line_num - 1]
+        if len(fields) != width:
+            raise FileFormatError(f"{path}: line {line}: expected {width} fields, "
+                                  f"got {len(fields)}")
+        try:
+            float(fields[idx])
+        except ValueError as exc:
+            raise FileFormatError(
+                f"{path}: line {line}: bad value for {column!r}: "
+                f"{fields[idx]!r}") from exc
 
 
 def write_filter_file(filt: fd.DesignedFilter, path: Path) -> None:
@@ -181,6 +208,8 @@ def load_filter_file(path: str | Path) -> dict:
         if type(doc[key]) is not int:
             raise FileFormatError(f"filter file {path}: {key}={doc[key]!r} "
                                   "is not an integer")
+    if "ts" in doc and type(doc["ts"]) not in _NUMBER:
+        raise FileFormatError(f"filter file {path}: ts={doc['ts']!r} is not a number")
     if m % 2 == 0:
         raise FileFormatError(f"filter file {path}: M={m!r} is not an odd integer")
     if h.shape != (m,):
@@ -208,7 +237,8 @@ def cmd_design(args, config) -> int:
     m = _require(_config(section, "M", int), args.M, "M")
     l = _require(_config(section, "L", int), args.L, "L")
     d = args.d if args.d is not None else _config(section, "d", int, 0)
-    ts = float(args.ts if args.ts is not None else section.get("ts", 1.0))
+    ts = _config(section, "ts", _NUMBER, 1.0)
+    ts = float(args.ts if args.ts is not None else ts)
     preset = args.preset or section.get("preset")
 
     if preset:
@@ -313,11 +343,11 @@ def cmd_simulate(args, config) -> int:
             raise ConfigError(f"unknown scenario tag {name!r}; "
                               f"expected one of {sim.SCENARIOS} or 'all'")
     seeds = _resolve_seeds(args, scen_cfg)
-    amplitude = float(scen_cfg.get("amplitude", sim.DEFAULT_AMPLITUDE))
+    amplitude = float(_config(scen_cfg, "amplitude", _NUMBER, sim.DEFAULT_AMPLITUDE))
     gap = _config(scen_cfg, "gap", int)
-    gamma_db = float(args.gamma_db if args.gamma_db is not None else
-                     det_cfg.get("gamma_db", DEFAULT_GAMMA_DB))
-    epsilon = float(det_cfg.get("epsilon", DEFAULT_EPSILON))
+    gamma_db = _config(det_cfg, "gamma_db", _NUMBER, DEFAULT_GAMMA_DB)
+    gamma_db = float(args.gamma_db if args.gamma_db is not None else gamma_db)
+    epsilon = float(_config(det_cfg, "epsilon", _NUMBER, DEFAULT_EPSILON))
     masks = HypothesisMask(
         foreground_keep=det_cfg.get("foreground_keep", (2,)),
         background_zero=det_cfg.get("background_zero", (0, 2)))
@@ -404,7 +434,10 @@ def _write_table(out_dir, result, fmt) -> None:
         fh.write("\n")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing does not
+    change it, and each ``parse_args`` call starts from a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="sgwhiten",
         description="Whitened Savitzky-Golay filter design, response "

@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, golden regression."""
 
+import csv
 import json
 import math
 import subprocess
@@ -8,11 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import sgwhiten as sg
+from sgwhiten import cli
 from sgwhiten import filter_design as fd
 from sgwhiten import sim_harness as sim
-from sgwhiten.cli import main, read_csv_column, write_csv, write_filter_file
+from sgwhiten.cli import (FileFormatError, build_parser, main, read_csv_column,
+                          write_csv, write_filter_file)
 from sgwhiten.detector import DB_FLOOR
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -40,6 +44,115 @@ def write_rows_reference(path, header, rows, comments=()):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt_reference(v) for v in row) + "\n")
+
+
+def read_column_reference(path, column):
+    """The line-by-line column reader, kept as the reference for
+    ``read_csv_column``: values, accepted files and error messages."""
+    lineno = 0
+
+    def data_lines(fh):
+        nonlocal lineno
+        for lineno, line in enumerate(fh, start=1):
+            if line.rstrip("\n") and not line.startswith("#"):
+                yield line
+
+    with open(path, encoding="utf-8") as fh:
+        header = None
+        values = []
+        for fields in csv.reader(data_lines(fh)):
+            if header is None:
+                header = fields
+                if column not in header:
+                    raise FileFormatError(
+                        f"{path}: missing required column {column!r}")
+                idx = header.index(column)
+                continue
+            if len(fields) != len(header):
+                raise FileFormatError(
+                    f"{path}: line {lineno}: expected {len(header)} fields, "
+                    f"got {len(fields)}")
+            try:
+                values.append(float(fields[idx]))
+            except ValueError as exc:
+                raise FileFormatError(
+                    f"{path}: line {lineno}: bad value for {column!r}: "
+                    f"{fields[idx]!r}") from exc
+        if header is None:
+            raise FileFormatError(f"{path}: empty CSV")
+    return np.asarray(values)
+
+
+_FIELDS = st.one_of(
+    st.floats().map(repr), st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.sampled_from(["1_0", " 2 ", "nan", "-inf", "-0.0", "5e-324", "abc", "",
+                     "1.5.2", '"3.25"', '" 7 "', '"a,b"', '"4\n.5"', '"x', "#9"]))
+_NOISE_LINES = st.sampled_from(["# note, with a comma", "#", "#x", "", "   ",
+                                "\t", " # indented"])
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text with comment, blank and whitespace-only lines, quoted headers
+    and fields, LF or CRLF newlines, an optional final newline, and rows that
+    are short, long or hold values ``float`` rejects."""
+    header = draw(st.lists(st.sampled_from(["n", "y", '"y,z"', " x"]),
+                           max_size=2, unique=True))
+    # "z" stands for a header without the column.
+    header.insert(draw(st.integers(0, len(header))),
+                  draw(st.sampled_from(["x", "x", '"x"', "z"])))
+    width = len(header)
+    lines = draw(st.lists(st.sampled_from(["# note, with a comma", "#", ""]),
+                          max_size=2))
+    if draw(st.integers(0, 9)):
+        lines.append(",".join(header))
+    good = st.lists(st.floats(allow_nan=False).map(repr), min_size=width,
+                    max_size=width).map(",".join)
+    lines += draw(st.lists(st.one_of(
+        good, good, st.lists(_FIELDS, max_size=width + 1).map(",".join),
+        _NOISE_LINES), max_size=12))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    final = newline if lines and draw(st.booleans()) else ""
+    return newline.join(lines) + final
+
+
+def _outcome(reader, path):
+    try:
+        values = reader(path, "x")
+    except Exception as exc:  # noqa: BLE001 - the type is compared too
+        return type(exc), str(exc)
+    return values.dtype, values.shape, values.tobytes()
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader") / "in.csv"
+
+
+class TestReadCsvColumn:
+    @settings(max_examples=400, deadline=None)
+    @given(text=csv_texts())
+    @example(text="")
+    @example(text="x\n")
+    @example(text="# c\r\n\r\n  \r\nx,y\r\n1_0, 2 \r\n-0.0,nan")
+    @example(text='n,"x"\n1,"2\n.5"\n#c\n3,bad\n')
+    def test_matches_line_reader(self, csv_path, text):
+        csv_path.write_bytes(text.encode("utf-8"))
+        assert _outcome(read_csv_column, csv_path) \
+            == _outcome(read_column_reference, csv_path)
+
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(11)
+        special = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                   1e16, -1e16, 1e-5, np.inf, -np.inf]
+        x = np.concatenate([special, rng.normal(size=3000),
+                            rng.normal(size=3000) * 10.0 ** rng.integers(
+                                -300, 300, size=3000)])
+        rng.shuffle(x)
+        assert len(x) > 4096 and np.signbit(x).any() and (x == 0).sum() == 2
+        path = tmp_path / "x.csv"
+        write_csv(path, ("n", "x"), [np.arange(len(x)), x], comments=("c",))
+        assert read_csv_column(path, "x").tobytes() == x.tobytes()
 
 
 class TestWriteCsv:
@@ -278,13 +391,16 @@ class TestFilterCommand:
         assert "'x'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["taps-length", "even-M", "non-finite",
-                                      "non-numeric", "L-string", "M-bool"])
+                                      "non-numeric", "L-string", "M-bool",
+                                      "ts-string"])
     def test_bad_filter_file_rejected(self, tmp_path, case, capsys):
         doc = json.loads((GOLDEN / "filter_A.json").read_text())
-        # The L-string file is run with --d, which re-derives the taps from L.
-        flags = ["--d", 1] if case == "L-string" else []
+        # These files are run with --d, which re-derives the taps from L and ts.
+        flags = ["--d", 1] if case in ("L-string", "ts-string") else []
         if case == "L-string":
             doc["L"] = "5"
+        elif case == "ts-string":
+            doc["ts"] = "x"
         elif case == "M-bool":
             doc["M"] = True
             doc["h"] = doc["h"][:1]
@@ -521,8 +637,13 @@ class TestConfigTypes:
         ("simulate", "scenario", "gap", 10.6),
         ("response", "output", "grid", 100.7),
         ("simulate", "scenario", "colored_white_noise", "false"),
+        ("simulate", "scenario", "amplitude", "10"),
+        ("simulate", "detector", "gamma_db", True),
+        ("simulate", "detector", "epsilon", [1e-9]),
+        ("design", "design", "ts", "2"),
     ], ids=["M-float", "L-string", "L-bool", "d-float", "seeds-string", "seeds-float",
-            "seed-float", "gap-float", "grid-float", "colored-string"])
+            "seed-float", "gap-float", "grid-float", "colored-string",
+            "amplitude-string", "gamma-bool", "epsilon-list", "ts-string"])
     def test_wrong_type_is_config_error(self, tmp_path, capsys, command,
                                         section, key, value):
         doc = {"design": {"M": 17, "L": 5}}
@@ -538,7 +659,52 @@ class TestConfigTypes:
         assert not out.exists()
 
 
+    def test_json_int_accepted_for_float_values(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"design": {"M": 17, "L": 5, "ts": 1},
+                                      "scenario": {"amplitude": 10},
+                                      "detector": {"gamma_db": 20, "epsilon": 1}}))
+        assert run(["design", "--preset", "A", "--config", config,
+                    "--out", tmp_path]) == 0
+        assert (tmp_path / "filter_A.json").read_bytes() \
+            == (GOLDEN / "filter_A.json").read_bytes()
+        assert run(["simulate", "--scenario", "low-white", "--config", config,
+                    "--out", tmp_path]) == 0
+        table = json.loads((tmp_path / "table.json").read_text())
+        assert (table["amplitude"], table["gamma_db"]) == (10.0, 20.0)
+
+
 class TestEntryPoint:
+    def test_parser_is_built_once_and_keeps_no_values(self, tmp_path,
+                                                      monkeypatch):
+        seen = {}
+        for name, command in cli.COMMANDS.items():
+            def spy(args, config, command=command, name=name):
+                seen.setdefault(name, []).append(vars(args))
+                return command(args, config)
+            monkeypatch.setitem(cli.COMMANDS, name, spy)
+        assert build_parser() is build_parser()
+        sim_out, filt_out = tmp_path / "sim", tmp_path / "filt"
+        assert run(["simulate", "--scenario", "low-white", "--seed", 3,
+                    "--gamma-db", 30, "--M", 17, "--out", sim_out]) == 0
+        assert run(["filter", GOLDEN / "filter_A.json",
+                    "--input", GOLDEN / "trace_low_white_seed0.csv",
+                    "--out", filt_out]) == 0
+        assert run(["simulate", "--scenario", "low-white", "--seed", 3,
+                    "--out", sim_out]) == 0
+        assert seen["filter"] == [{
+            "command": "filter", "config": None, "out": str(filt_out),
+            "filter_file": str(GOLDEN / "filter_A.json"),
+            "input": str(GOLDEN / "trace_low_white_seed0.csv"), "d": None}]
+        first, second = seen["simulate"]
+        assert (first["gamma_db"], second["gamma_db"]) == (30.0, None)
+        assert {k: v for k, v in first.items() if k != "gamma_db"} \
+            == {k: v for k, v in second.items() if k != "gamma_db"}
+        assert (filt_out / "filtered.csv").read_bytes() \
+            == (GOLDEN / "filtered_A.csv").read_bytes()
+        table = json.loads((sim_out / "table.json").read_text())
+        assert table["gamma_db"] == 20.0
+
     def test_console_script(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "sgwhiten.cli", "design", "--preset", "A",

@@ -5,7 +5,9 @@ ever applied, and the half-window group delay is carried as alignment
 metadata instead.  The bank runs all L analysis rows at once, producing a
 per-sample vector of local monomial coefficient estimates from which a
 polynomial segment can be re-synthesized.  One kernel, ``window_products``,
-serves the bank, single windows, streamed chunks and the detector's residual.
+serves the bank, single windows and streamed chunks; ``shared_window_products``
+runs several matrices (the detector's banks and residual factors) through it
+in shared passes.
 """
 
 from __future__ import annotations
@@ -105,6 +107,28 @@ def slab_shape(m: int, width: int) -> tuple[int, int]:
     return rows, max(BLOCK_BYTES // (8 * m * rows), 1)
 
 
+def _windows(samples, m: int) -> np.ndarray:
+    """Read-only (windows, M) view of every full window of the samples."""
+    x = np.asarray(samples, dtype=float)
+    # Overlapping windows; x.strides * 2 fits a 1-d x only, so others raise.
+    return as_strided(x, (max(len(x) - m + 1, 0), m), x.strides * 2,
+                      writeable=False)
+
+
+def _products(windows: np.ndarray, matrix: np.ndarray, out: np.ndarray,
+              block: np.ndarray) -> np.ndarray:
+    """Rows windows @ matrix, by products of ``out``'s (slabs, rows, width)
+    shape: the windows are copied into ``block`` and each product written
+    into ``out``, which holds at least all the windows."""
+    m, rows = matrix.shape[0], out.shape[1]
+    for first in range(0, len(out), max(len(block), 1)):
+        part = windows[first * rows:(first + len(block)) * rows]
+        block.reshape(-1, m)[:len(part)] = part
+        used = -(-len(part) // rows)
+        np.matmul(block[:used], matrix, out=out[first:first + used])
+    return out.reshape(len(out) * rows, out.shape[2])[:len(windows)]
+
+
 def window_products(samples: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Row i is x[i:i+M] @ matrix, for every full window of the samples.
 
@@ -114,20 +138,65 @@ def window_products(samples: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     # Row-major: OpenBLAS took 1.7x as long with the transposed M = 17 bank.
     matrix = np.ascontiguousarray(matrix, dtype=float)
     m, width = matrix.shape
-    x = np.asarray(samples, dtype=float)
-    # Overlapping windows; x.strides * 2 fits a 1-d x only, so others raise.
-    windows = as_strided(x, (max(len(x) - m + 1, 0), m), x.strides * 2,
-                         writeable=False)
+    windows = _windows(samples, m)
     rows, per_block = slab_shape(m, width)
     slabs = -(-len(windows) // rows)
-    out = np.empty((slabs, rows, width))
-    block = np.zeros((min(per_block, slabs), rows, m))
-    for first in range(0, slabs, per_block):
-        part = windows[first * rows:(first + per_block) * rows]
-        block.reshape(-1, m)[:len(part)] = part
-        used = -(-len(part) // rows)
-        np.matmul(block[:used], matrix, out=out[first:first + used])
-    return out.reshape(slabs * rows, width)[:len(windows)]
+    return _products(windows, matrix, np.empty((slabs, rows, width)),
+                     np.zeros((min(per_block, slabs), rows, m)))
+
+
+def shared_window_products(samples: np.ndarray, matrices, budget: int):
+    """``window_products`` of the samples through each of several M-row
+    matrices, from as few window passes as fit, in slices of windows.
+
+    Each matrix takes its width rounded up to a multiple of 8 (zero columns)
+    and the matrices are packed left to right into passes of at most
+    PRODUCT_MADDS // (M * SLAB_ROWS) columns, so every product keeps SLAB_ROWS
+    windows.  A matrix wider than that once rounded runs alone, unpadded.
+    OpenBLAS 0.3.31 gives a column the same bits at any 8-aligned place of
+    such a pass, so a matrix's rows do not depend on what it is packed with.
+    Yields (first window, one row array per matrix) for consecutive slices
+    of windows whose pass outputs take at most ``budget`` bytes (one window
+    at least).  The arrays are views into buffers that every slice reuses,
+    so they hold their rows only until the next slice is asked for.
+    """
+    matrices = [np.asarray(matrix, dtype=float) for matrix in matrices]
+    m = matrices[0].shape[0]
+    limit = PRODUCT_MADDS // (m * SLAB_ROWS)
+    passes = []                 # (matrix, [(matrix index, first column)])
+    packs = []                  # [columns, members] of the packed passes
+    for i, matrix in enumerate(matrices):
+        padded = -(-matrix.shape[1] // 8) * 8
+        if padded > limit:
+            passes.append((np.ascontiguousarray(matrix), [(i, 0)]))
+            continue
+        if not packs or packs[-1][0] + padded > limit:
+            packs.append([0, []])
+        packs[-1][1].append((i, packs[-1][0]))
+        packs[-1][0] += padded
+    for columns, members in packs:
+        stacked = np.zeros((m, columns))
+        for i, first in members:
+            stacked[:, first:first + matrices[i].shape[1]] = matrices[i]
+        passes.append((stacked, members))
+    windows = _windows(samples, m)
+    held = sum(matrix.shape[1] for matrix, _ in passes)
+    step = max(min(budget // (8 * max(held, 1)), len(windows)), 1)
+    buffers = []
+    for matrix, _ in passes:
+        rows, per_block = slab_shape(m, matrix.shape[1])
+        slabs = -(-step // rows)
+        buffers.append((np.empty((slabs, rows, matrix.shape[1])),
+                        np.zeros((min(per_block, slabs), rows, m))))
+    for start in range(0, len(windows), step):
+        part = windows[start:start + step]
+        outs = [None] * len(matrices)
+        for (matrix, members), (out, block) in zip(passes, buffers):
+            got = _products(part, matrix, out[:-(-len(part) // out.shape[1])],
+                            block)
+            for i, first in members:
+                outs[i] = got[:, first:first + matrices[i].shape[1]]
+        yield start, outs
 
 
 def synthesize(alpha: np.ndarray, psi: np.ndarray) -> np.ndarray:

@@ -147,21 +147,30 @@ def read_csv_column(path: Path, column: str):
                 raise ValueError("wrong field count")
             values += map(float, map(field, block))
     except (ValueError, csv.Error):
-        _raise_first_bad_row(path, column, data, list(compress(count(1), kept)))
+        _raise_first_bad_row(path, column, data, list(compress(count(1), kept)),
+                             len(lines))
         raise  # not reached: the row-by-row read meets the same error
     return np.asarray(values)
 
 
-def _raise_first_bad_row(path, column, data, line_numbers) -> None:
+def _raise_first_bad_row(path, column, data, line_numbers, last_line) -> None:
     """Read ``data`` row by row and raise the first error met: the
     ``FileFormatError`` of a row with the wrong field count or a bad value,
     or the reader's own ``csv.Error``.  ``line_numbers`` gives each line's
-    physical number."""
-    rows = csv.reader(data)
+    physical number.  A row whose quote is still open at the end of the data
+    ends on the file's last line, ``last_line``: the reader went through
+    any blank and '#' lines after it looking for more."""
+    ended = []
+
+    def feed():
+        yield from data
+        ended.append(True)
+
+    rows = csv.reader(feed())
     header = next(rows)
     width, idx = len(header), header.index(column)
     for fields in rows:
-        line = line_numbers[rows.line_num - 1]
+        line = last_line if ended else line_numbers[rows.line_num - 1]
         if len(fields) != width:
             raise FileFormatError(f"{path}: line {line}: expected {width} fields, "
                                   f"got {len(fields)}")

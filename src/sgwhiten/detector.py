@@ -32,7 +32,11 @@ where the metric makes the quadratic column nearly collinear with the others
 (about 724 for the wide-band preset F at M = 17, 1.2-7.7 for the rest).
 D <= Z, so every event is also a Z crossing.  The residual is the sum of
 squares of M - L FIR outputs, through the columns of a factor V of the
-residual form, V V' = W_s - W_s psi G^-1 psi' W_s.
+residual form, V V' = W_s - W_s psi G^-1 psi' W_s.  ``residuals_and_rows``
+gets the residuals and bank rows of several filters from one shared window
+pass (``analysis_bank.shared_window_products``), in which V is padded with
+zero columns to a multiple of 8 where that fits; ``residual_power`` is its
+one-filter case, so a residual has the same bits alone or shared.
 
 W is first rescaled to unit maximum element.  Both ratios are unchanged by
 the scale of W except through eps, so the rescaling fixes the scale the
@@ -58,7 +62,7 @@ import numbers
 
 import numpy as np
 
-from .analysis_bank import FeatureSeries, window_products
+from .analysis_bank import FeatureSeries, shared_window_products
 from .errors import NotPositiveDefiniteError
 
 DEFAULT_EPSILON = 1e-3
@@ -67,8 +71,8 @@ DEFAULT_GAMMA_DB = 20.0
 # Decibel floor applied when serializing; in-memory values may be -inf.
 DB_FLOOR = -300.0
 
-# Bytes of window outputs residual_power holds at once.
-RESIDUAL_BYTES = 1 << 22
+# Bytes of window outputs residuals_and_rows holds at once.
+RESIDUAL_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -261,24 +265,40 @@ def build_ortho_transform(psi: np.ndarray, weight: np.ndarray) -> OrthoTransform
 
 def residual_power(samples: np.ndarray, transform: OrthoTransform) -> np.ndarray:
     """Whitened residual power e' W_s e of the polynomial fit to every full
-    window, aligned with the bank's feature series over the same samples.
+    window, aligned with the bank's feature series over the same samples:
+    the sum of squares of the window's M - L outputs through the transform's
+    residual factor (``residuals_and_rows``)."""
+    return residuals_and_rows(samples, [(transform.residual_factor, None)])[0][0]
 
-    Each window goes through the M - L columns of the transform's residual
-    factor, by the bank's window kernel, and the outputs are squared and
-    summed, one slice of windows at a time, so at most RESIDUAL_BYTES of
-    outputs are held however long the input.
+
+def residuals_and_rows(samples: np.ndarray, pairs):
+    """For each (V, A) in ``pairs``, the sums of squares of x @ V and the
+    rows x @ A (None for no A), for every full window x of the samples:
+    ([powers], [rows]).
+
+    All come from shared window passes (``shared_window_products``), each
+    V packed just before its A, over slices of windows that hold at most
+    RESIDUAL_BYTES of outputs, so what is held beyond the results does not
+    grow with the input.  A power or row depends only on its window and its
+    own V or A.
     """
     x = np.asarray(samples, dtype=float)
-    m = transform.w_scaled.shape[0]
+    m = pairs[0][0].shape[0]
     if len(x) < m:
         raise ValueError(f"input length {len(x)} is shorter than the window {m}")
-    factor = transform.residual_factor
-    step = max(RESIDUAL_BYTES // (8 * max(factor.shape[1], 1)), 1)
-    power = np.empty(len(x) - m + 1)
-    for first in range(0, len(power), step):
-        out = window_products(x[first:first + step + m - 1], factor)
-        power[first:first + step] = np.einsum("nk,nk->n", out, out)
-    return power
+    n = len(x) - m + 1
+    powers = [np.empty(n) for _ in pairs]
+    rows = [None if a is None else np.empty((n, a.shape[1])) for _, a in pairs]
+    matrices = [matrix for pair in pairs for matrix in pair if matrix is not None]
+    for first, outs in shared_window_products(x, matrices, RESIDUAL_BYTES):
+        outs = iter(outs)
+        for power, row in zip(powers, rows):
+            out = next(outs)
+            stop = first + len(out)
+            np.einsum("nk,nk->n", out, out, out=power[first:stop])
+            if row is not None:
+                row[first:stop] = next(outs)
+    return powers, rows
 
 
 def _powers(coeffs: np.ndarray, transform: OrthoTransform,

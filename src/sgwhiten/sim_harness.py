@@ -19,12 +19,12 @@ live in the test suite, so cross-library generator parity is not required.
 The experiment runner designs every preset (``filter_design.design`` keeps
 the designs, and each filter its detector transform, so repeat runs reuse
 both), builds the (scenario, seed) traces in groups of bounded size, and
-runs each preset over a group in one ``detect_traces`` pass: the traces, of
-one length, are laid end to end, so the bank and the residual run once per
-preset and group, and the rows whose windows straddle two traces are
-dropped.  It aggregates a scenarios-by-filters matrix of medium-pulse
-peak SNRs (peaks of the fitted ratio Z), in the shape of a standard
-comparison table.  Detection patterns count crossings of the
+runs all presets over a group in one ``detect_traces`` call: the traces, of
+one length, are laid end to end, one shared window pass gives every
+preset's bank rows and residual, and the rows whose windows straddle two
+traces are dropped.  It aggregates a scenarios-by-filters matrix of
+medium-pulse peak SNRs (peaks of the fitted ratio Z), in the shape of a
+standard comparison table.  Detection patterns count crossings of the
 noise-corrected statistic D, which needs the trace samples as well as the
 bank's coefficients (see ``detector``).  Amplitude calibration bisects over
 pulse amplitudes 0.1 to 1000 and reads only the Z peak of the medium pulse:
@@ -46,7 +46,7 @@ from . import filter_design as fd
 from .analysis_bank import SampleSequence, run_bank
 from .detector import (DEFAULT_EPSILON, DEFAULT_GAMMA_DB, DEFAULT_MASKS,
                        DetectionReport, HypothesisMask, build_reports,
-                       detection_statistics, power_ratio, residual_power,
+                       detection_statistics, power_ratio, residuals_and_rows,
                        to_decibels)
 
 SCENARIOS = ("low-white", "high-white", "matched-colored", "mismatched-colored")
@@ -237,33 +237,45 @@ def _by_trace(rows: np.ndarray, traces: int, m: int) -> np.ndarray:
     return rows.reshape(traces, n, *rows.shape[1:])[:, :n - m + 1]
 
 
-def detect_traces(filt: fd.DesignedFilter, traces,
-                  gamma_db: float = DEFAULT_GAMMA_DB,
+def detect_traces(filters, traces, gamma_db: float = DEFAULT_GAMMA_DB,
                   epsilon: float = DEFAULT_EPSILON,
-                  masks: HypothesisMask = DEFAULT_MASKS) -> list[DetectionReport]:
-    """Full pipeline for one filter over traces of one length and pulse
-    layout: one bank pass and one residual pass over the traces end to end,
-    the statistics on the stack, then one report per trace.
+                  masks: HypothesisMask = DEFAULT_MASKS) -> dict:
+    """Full pipeline for filters of one window length M over traces of one
+    length and pulse layout: one shared window pass over the traces end to
+    end gives every filter's bank rows and residual (``residuals_and_rows``),
+    the statistics run on the stack, and each trace gets one report per
+    filter.  ``filters`` maps labels to ``DesignedFilter``s; the result maps
+    each label to its reports, in trace order.
 
-    Each report equals a run over its trace alone bit for bit: a window's
-    row depends only on the window (``window_products``), and the stacked
-    statistics make each BLAS product with one trace's shape.  Raises
-    ValueError when there is no trace or the traces differ in layout.
+    Each report equals a run of its filter over its trace alone bit for bit:
+    a window's bank row and residual depend only on the window and the
+    filter, and the stacked statistics make each BLAS product with one
+    trace's shape.  Raises ValueError when there is no filter or trace, the
+    filters differ in M or the traces in layout.
     """
-    if not traces:
-        raise ValueError("no traces to detect")
+    if not filters or not traces:
+        raise ValueError("no filters or no traces to detect")
+    lengths = {filt.spec.m for filt in filters.values()}
+    if len(lengths) > 1:
+        raise ValueError(f"filters detected together must share one window "
+                         f"length M, got {sorted(lengths)}")
     extents = traces[0].extents()
     if any(trace.extents() != extents for trace in traces[1:]):
         raise ValueError("traces detected together must share their pulse layout")
-    m = filt.spec.m
+    (m,) = lengths
     x = _end_to_end(np.stack([trace.x for trace in traces]), m)
-    residual = _by_trace(residual_power(x, filt.transform), len(traces), m)
-    features = run_bank(SampleSequence(values=x), filt.operators.h_matrix)
-    stats = detection_statistics(_by_trace(features.coeffs, len(traces), m),
-                                 filt.transform, residual, masks=masks,
-                                 epsilon=epsilon)
-    return build_reports(*stats, features.offset, gamma_db, extents,
-                         filt.half_length)
+    residuals, coeffs = residuals_and_rows(
+        x, [(filt.transform.residual_factor, filt.operators.h_matrix.T)
+            for filt in filters.values()])
+    reports = {}
+    for (label, filt), residual, rows in zip(filters.items(), residuals, coeffs):
+        stats = detection_statistics(_by_trace(rows, len(traces), m),
+                                     filt.transform,
+                                     _by_trace(residual, len(traces), m),
+                                     masks=masks, epsilon=epsilon)
+        reports[label] = build_reports(*stats, filt.half_length, gamma_db,
+                                       extents, filt.half_length)
+    return reports
 
 
 def run_detector(filt: fd.DesignedFilter, trace: ScenarioTrace,
@@ -271,8 +283,8 @@ def run_detector(filt: fd.DesignedFilter, trace: ScenarioTrace,
                  epsilon: float = DEFAULT_EPSILON,
                  masks: HypothesisMask = DEFAULT_MASKS) -> DetectionReport:
     """Full pipeline for one filter over one trace: ``detect_traces`` of it."""
-    return detect_traces(filt, [trace], gamma_db=gamma_db, epsilon=epsilon,
-                         masks=masks)[0]
+    return detect_traces({filt.label: filt}, [trace], gamma_db=gamma_db,
+                         epsilon=epsilon, masks=masks)[filt.label][0]
 
 
 @dataclass(frozen=True)
@@ -334,8 +346,8 @@ def run_experiment(scenarios=SCENARIOS, labels=fd.PRESET_LABELS, m: int = 17,
                    masks: HypothesisMask = DEFAULT_MASKS,
                    sink=None) -> ExperimentResult:
     """Design the presets once, then build the (scenario, seed) traces in
-    groups of at most about GROUP_BYTES of stacks and run each preset over a
-    group in one ``detect_traces`` pass.
+    groups of at most about GROUP_BYTES of stacks and run all presets over a
+    group in one ``detect_traces`` call, one shared window pass.
 
     Per seed and filter the medium-pulse peak SNR and the detection pattern
     (which pulses crossed the threshold, whether anything crossed at all) are
@@ -356,11 +368,11 @@ def run_experiment(scenarios=SCENARIOS, labels=fd.PRESET_LABELS, m: int = 17,
         gap = 3 * m
     filters = {lab: fd.design_preset(lab, m=m, l=l, d=0) for lab in labels}
     cases = [(scenario, seed) for scenario in scenarios for seed in seeds]
-    # Floats a group holds per sample: the trace and its components, the
-    # bank's L coefficients and their foreground and background parts, and
-    # three report series per preset.
+    # Floats a group holds per sample: the trace, its components and their
+    # end-to-end copy; per preset the L bank coefficients, the residual and
+    # three report series; and one preset's foreground and background parts.
     num = len(gen_pulse_train(amplitude, gap)[0])
-    size = max(GROUP_BYTES // (8 * num * (3 * len(labels) + 3 * l + 16)), 1)
+    size = max(GROUP_BYTES // (8 * num * ((l + 4) * len(labels) + 2 * l + 16)), 1)
 
     half = (m - 1) // 2
     medium = PULSE_KINDS.index(MEDIUM)
@@ -369,9 +381,8 @@ def run_experiment(scenarios=SCENARIOS, labels=fd.PRESET_LABELS, m: int = 17,
         traces = [build_trace(scenario, seed, amplitude=amplitude, gap=gap,
                               colored_white_noise=colored_white_noise)
                   for scenario, seed in cases[first:first + size]]
-        reports = {lab: detect_traces(filt, traces, gamma_db=gamma_db,
-                                      epsilon=epsilon, masks=masks)
-                   for lab, filt in filters.items()}
+        reports = detect_traces(filters, traces, gamma_db=gamma_db,
+                                epsilon=epsilon, masks=masks)
         for i, trace in enumerate(traces):
             if sink is not None:
                 sink(trace, filters, {lab: reports[lab][i] for lab in labels})
@@ -401,7 +412,7 @@ def run_experiment(scenarios=SCENARIOS, labels=fd.PRESET_LABELS, m: int = 17,
 
 def _detected_kinds(report: DetectionReport, trace: ScenarioTrace,
                     half: int) -> set:
-    events = report.events.tolist()   # ascending, as threshold_detect gives them
+    events = report.events.tolist()   # ascending, as build_reports gives them
     return {p.kind for p in trace.pulses if bisect_left(events, p.start - half)
             < bisect_left(events, p.stop + half)}
 

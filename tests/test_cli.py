@@ -136,6 +136,7 @@ class TestReadCsvColumn:
     @example(text="x\n")
     @example(text="# c\r\n\r\n  \r\nx,y\r\n1_0, 2 \r\n-0.0,nan")
     @example(text='n,"x"\n1,"2\n.5"\n#c\n3,bad\n')
+    @example(text='x\n"x\n\n')
     def test_matches_line_reader(self, csv_path, text):
         csv_path.write_bytes(text.encode("utf-8"))
         assert _outcome(read_csv_column, csv_path) \
@@ -504,8 +505,9 @@ class TestSimulate:
                 == float(np.median(peaks))
 
     def test_one_detection_pass(self, tmp_path, monkeypatch):
-        # One bank pass and one residual pass per preset, over both seeds.
-        calls = {"bank": 0, "residual": 0, "design": 0}
+        # One shared bank and residual pass for all six presets, over both
+        # seeds, and no per-preset bank pass.
+        calls = {"bank": 0, "shared": 0, "design": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -514,14 +516,14 @@ class TestSimulate:
             return wrapper
 
         monkeypatch.setattr(sim, "run_bank", counted("bank", sim.run_bank))
-        monkeypatch.setattr(sim, "residual_power",
-                            counted("residual", sim.residual_power))
+        monkeypatch.setattr(sim, "residuals_and_rows",
+                            counted("shared", sim.residuals_and_rows))
         monkeypatch.setattr(fd, "design_preset",
                             counted("design", fd.design_preset))
         rc = run(["simulate", "--scenario", "high-white", "--seeds", 2,
                   "--out", tmp_path])
         assert rc == 0
-        assert calls == {"bank": 6, "residual": 6, "design": 6}
+        assert calls == {"bank": 0, "shared": 1, "design": 6}
 
     @pytest.mark.parametrize("args", [["--seeds", 0], ["--config", "empty"]],
                              ids=["seeds-0", "config-empty-list"])

@@ -227,7 +227,12 @@ def per_trace_report(filt, trace, masks=DEFAULT_MASKS, epsilon=DEFAULT_EPSILON,
     back = feats.coeffs @ factors.background
     p1 = np.einsum("ij,ij->i", fore, fore)
     p0 = np.einsum("ij,ij->i", back, back)
-    out = window_products(trace.x, tr.residual_factor)
+    # Shared passes run the residual factor padded with zero columns to a
+    # multiple of 8 (as wide as that fits a pass at M = 17 and 33).
+    m, width = tr.residual_factor.shape
+    factor = np.zeros((m, -(-width // 8) * 8))
+    factor[:, :width] = tr.residual_factor
+    out = window_products(trace.x, factor)[:, :width]
     residual = np.einsum("nk,nk->n", out, out)
     z = p1 / (p0 + epsilon)
     z_db = to_decibels(z)
@@ -268,10 +273,10 @@ class TestBatchedDetection:
                     assert np.array_equal(getattr(report, name), value), \
                         (trace.name, trace.seed, lab, name)
 
-    @pytest.mark.parametrize("budget,passes", [(1, 6), (400_000, 3)],
+    @pytest.mark.parametrize("budget,passes", [(1, 6), (600_000, 3)],
                              ids=["one-trace-groups", "groups-across-scenarios"])
     def test_groups_give_one_pass_results(self, monkeypatch, budget, passes):
-        # 399-sample traces at M = 17 take ~156 kB each, so 400 kB holds two.
+        # 399-sample traces at M = 17 take ~255 kB each, so 600 kB holds two.
         kwargs = dict(scenarios=("low-white", "matched-colored"), seeds=(0, 1, 2),
                       amplitude=9.0)
         whole, seen = [], []
@@ -279,11 +284,14 @@ class TestBatchedDetection:
         calls = []
         detect = sim.detect_traces
         monkeypatch.setattr(sim, "detect_traces",
-                            lambda filt, traces, **kw: calls.append(len(traces))
-                            or detect(filt, traces, **kw))
+                            lambda filters, traces, **kw:
+                            calls.append((tuple(filters), len(traces)))
+                            or detect(filters, traces, **kw))
         monkeypatch.setattr(sim, "GROUP_BYTES", budget)
         got = sg.run_experiment(sink=lambda *args: seen.append(args), **kwargs)
-        assert len(calls) == passes * len(fd.PRESET_LABELS)
+        assert len(calls) == passes
+        assert all(labels == fd.PRESET_LABELS for labels, _ in calls)
+        assert sum(count for _, count in calls) == 6
         assert got.cells == want.cells
         assert len(seen) == len(whole) == 6
         for (trace, _, reports), (trace0, _, reports0) in zip(seen, whole):
@@ -302,8 +310,14 @@ class TestBatchedDetection:
     def test_rejects_traces_of_other_layouts(self, presets):
         traces = [sg.build_trace("low-white", seed=0),
                   sg.build_trace("low-white", seed=0, gap=40)]
-        with pytest.raises(ValueError):
-            sim.detect_traces(presets["A"], traces)
+        with pytest.raises(ValueError, match="layout"):
+            sim.detect_traces({"A": presets["A"]}, traces)
+
+    def test_rejects_filters_of_mixed_window_lengths(self, presets):
+        traces = [sg.build_trace("low-white", seed=0)]
+        filters = {"A": presets["A"], "B33": fd.design_preset("B", m=33)}
+        with pytest.raises(ValueError, match="window length"):
+            sim.detect_traces(filters, traces)
 
     def test_empty_seed_set_rejected(self):
         with pytest.raises(ValueError, match="seed"):

@@ -156,8 +156,8 @@ def shared_window_products(samples: np.ndarray, matrices, budget: int):
     OpenBLAS 0.3.31 gives a column the same bits at any 8-aligned place of
     such a pass, so a matrix's rows do not depend on what it is packed with.
     Yields (first window, one row array per matrix) for consecutive slices
-    of windows whose pass outputs take at most ``budget`` bytes (one window
-    at least).  The arrays are views into buffers that every slice reuses,
+    of windows whose pass outputs take at most ``budget`` bytes, rounded up
+    to whole products (one window at least).  The arrays are views into buffers that every slice reuses,
     so they hold their rows only until the next slice is asked for.
     """
     matrices = [np.asarray(matrix, dtype=float) for matrix in matrices]

@@ -17,11 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-# Bytes of windows per copied block, windows per product at most, and
-# multiply-adds per product at most (OpenBLAS threads larger products).
+# Bytes of windows per copied block, windows per product at most,
+# multiply-adds per product at most (OpenBLAS threads larger products) and
+# bytes of pass outputs shared_window_products holds at once.
 BLOCK_BYTES = 1 << 19
 SLAB_ROWS = 64
 PRODUCT_MADDS = 1 << 18
+RESIDUAL_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,7 @@ def window_products(samples: np.ndarray, matrix: np.ndarray) -> np.ndarray:
                      np.zeros((min(per_block, slabs), rows, m)))
 
 
-def shared_window_products(samples: np.ndarray, matrices, budget: int):
+def shared_window_products(samples: np.ndarray, matrices):
     """``window_products`` of the samples through each of several M-row
     matrices, from as few window passes as fit, in slices of windows.
 
@@ -153,12 +155,13 @@ def shared_window_products(samples: np.ndarray, matrices, budget: int):
     and the matrices are packed left to right into passes of at most
     PRODUCT_MADDS // (M * SLAB_ROWS) columns, so every product keeps SLAB_ROWS
     windows.  A matrix wider than that once rounded runs alone, unpadded.
-    OpenBLAS 0.3.31 gives a column the same bits at any 8-aligned place of
-    such a pass, so a matrix's rows do not depend on what it is packed with.
-    Yields (first window, one row array per matrix) for consecutive slices
-    of windows whose pass outputs take at most ``budget`` bytes, rounded up
-    to whole products (one window at least).  The arrays are views into buffers that every slice reuses,
-    so they hold their rows only until the next slice is asked for.
+    OpenBLAS 0.3.31 (SkylakeX kernels) gives a column the same bits at any
+    8-aligned place of such a pass, so a matrix's rows do not depend on what
+    it is packed with.  Yields (first window, one row array per matrix) for
+    consecutive slices of whole products of windows whose pass outputs take
+    at most RESIDUAL_BYTES (one product at least).  The arrays are views into
+    buffers that every slice reuses, so they hold their rows only until the
+    next slice is asked for.
     """
     matrices = [np.asarray(matrix, dtype=float) for matrix in matrices]
     m = matrices[0].shape[0]
@@ -180,12 +183,14 @@ def shared_window_products(samples: np.ndarray, matrices, budget: int):
             stacked[:, first:first + matrices[i].shape[1]] = matrices[i]
         passes.append((stacked, members))
     windows = _windows(samples, m)
-    held = sum(matrix.shape[1] for matrix, _ in passes)
-    step = max(min(budget // (8 * max(held, 1)), len(windows)), 1)
+    # Product heights are powers of two, so the tallest is a multiple of all.
+    tallest = max(slab_shape(m, matrix.shape[1])[0] for matrix, _ in passes)
+    held = max(sum(matrix.shape[1] for matrix, _ in passes), 1)
+    step = max(RESIDUAL_BYTES // (8 * held * tallest), 1) * tallest
     buffers = []
     for matrix, _ in passes:
         rows, per_block = slab_shape(m, matrix.shape[1])
-        slabs = -(-step // rows)
+        slabs = -(-min(step, len(windows)) // rows)
         buffers.append((np.empty((slabs, rows, matrix.shape[1])),
                         np.zeros((min(per_block, slabs), rows, m))))
     for start in range(0, len(windows), step):

@@ -35,8 +35,8 @@ squares of M - L FIR outputs, through the columns of a factor V of the
 residual form, V V' = W_s - W_s psi G^-1 psi' W_s.  ``residuals_and_rows``
 gets the residuals and bank rows of several filters from one shared window
 pass (``analysis_bank.shared_window_products``), in which V is padded with
-zero columns to a multiple of 8 where that fits; ``residual_power`` is its
-one-filter case, so a residual has the same bits alone or shared.
+zero columns to a multiple of 8 where that fits; ``residual_power`` runs
+one V by the same rule, so a residual has the same bits alone or shared.
 
 W is first rescaled to unit maximum element.  Both ratios are unchanged by
 the scale of W except through eps, so the rescaling fixes the scale the
@@ -70,9 +70,6 @@ DEFAULT_GAMMA_DB = 20.0
 
 # Decibel floor applied when serializing; in-memory values may be -inf.
 DB_FLOOR = -300.0
-
-# Bytes of window outputs residuals_and_rows holds at once.
-RESIDUAL_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -263,41 +260,44 @@ def build_ortho_transform(psi: np.ndarray, weight: np.ndarray) -> OrthoTransform
                           psi=np.array(psi, dtype=float))
 
 
+def _window_count(x: np.ndarray, m: int) -> int:
+    if len(x) < m:
+        raise ValueError(f"input length {len(x)} is shorter than the window {m}")
+    return len(x) - m + 1
+
+
 def residual_power(samples: np.ndarray, transform: OrthoTransform) -> np.ndarray:
     """Whitened residual power e' W_s e of the polynomial fit to every full
     window, aligned with the bank's feature series over the same samples:
     the sum of squares of the window's M - L outputs through the transform's
-    residual factor (``residuals_and_rows``)."""
-    return residuals_and_rows(samples, [(transform.residual_factor, None)])[0][0]
+    residual factor, by the rule of ``residuals_and_rows``."""
+    x = np.asarray(samples, dtype=float)
+    power = np.empty(_window_count(x, transform.w_scaled.shape[0]))
+    for first, (out,) in shared_window_products(x, [transform.residual_factor]):
+        np.einsum("nk,nk->n", out, out, out=power[first:first + len(out)])
+    return power
 
 
 def residuals_and_rows(samples: np.ndarray, pairs):
     """For each (V, A) in ``pairs``, the sums of squares of x @ V and the
-    rows x @ A (None for no A), for every full window x of the samples:
-    ([powers], [rows]).
+    rows x @ A, for every full window x of the samples: ([powers], [rows]).
 
     All come from shared window passes (``shared_window_products``), each
-    V packed just before its A, over slices of windows that hold at most
-    RESIDUAL_BYTES of outputs, so what is held beyond the results does not
-    grow with the input.  A power or row depends only on its window and its
-    own V or A.
+    V packed just before its A, over bounded slices of windows, so what is
+    held beyond the results does not grow with the input.  A power or row
+    depends only on its window and its own V or A, so a power equals
+    ``residual_power`` of its V alone.
     """
     x = np.asarray(samples, dtype=float)
-    m = pairs[0][0].shape[0]
-    if len(x) < m:
-        raise ValueError(f"input length {len(x)} is shorter than the window {m}")
-    n = len(x) - m + 1
+    n = _window_count(x, pairs[0][0].shape[0])
     powers = [np.empty(n) for _ in pairs]
-    rows = [None if a is None else np.empty((n, a.shape[1])) for _, a in pairs]
-    matrices = [matrix for pair in pairs for matrix in pair if matrix is not None]
-    for first, outs in shared_window_products(x, matrices, RESIDUAL_BYTES):
-        outs = iter(outs)
-        for power, row in zip(powers, rows):
-            out = next(outs)
+    rows = [np.empty((n, a.shape[1])) for _, a in pairs]
+    matrices = [matrix for pair in pairs for matrix in pair]
+    for first, outs in shared_window_products(x, matrices):
+        for power, row, out, cols in zip(powers, rows, outs[::2], outs[1::2]):
             stop = first + len(out)
             np.einsum("nk,nk->n", out, out, out=power[first:stop])
-            if row is not None:
-                row[first:stop] = next(outs)
+            row[first:stop] = cols
     return powers, rows
 
 

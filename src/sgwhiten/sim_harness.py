@@ -125,8 +125,9 @@ def gen_pulse_train(amplitude: float, gap: int = DEFAULT_GAP):
     signs +, -, +, -, +, separated (and flanked) by ``gap`` quiet samples.
     Returns (samples, pulse truth tuple).
     """
-    if amplitude <= 0:
-        raise ValueError("pulse amplitude must be positive")
+    if not 0 < amplitude < math.inf:
+        raise ValueError(f"pulse amplitude must be positive and finite, "
+                         f"got {amplitude!r}")
     shapes = [
         ("quad-small", quadratic_pulse(9, amplitude)),
         ("quad-medium", quadratic_pulse(17, amplitude)),
@@ -251,7 +252,7 @@ def detect_traces(filters, traces, gamma_db: float = DEFAULT_GAMMA_DB,
     a window's bank row and residual depend only on the window and the
     filter, and the stacked statistics make each BLAS product with one
     trace's shape.  Raises ValueError when there is no filter or trace, the
-    filters differ in M or the traces in layout.
+    filters differ in M, the traces in layout, or a sample is not finite.
     """
     if not filters or not traces:
         raise ValueError("no filters or no traces to detect")
@@ -264,6 +265,8 @@ def detect_traces(filters, traces, gamma_db: float = DEFAULT_GAMMA_DB,
         raise ValueError("traces detected together must share their pulse layout")
     (m,) = lengths
     x = _end_to_end(np.stack([trace.x for trace in traces]), m)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("sample sequence contains NaN or infinity")
     residuals, coeffs = residuals_and_rows(
         x, [(filt.transform.residual_factor, filt.operators.h_matrix.T)
             for filt in filters.values()])

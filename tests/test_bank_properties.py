@@ -76,6 +76,14 @@ def packings(draw):
     return [_preset(lab, m) for lab in chosen], x
 
 
+# Why a shared pass can differ from a filter's own pass.
+PLACE_ASSUMPTION = (
+    "shared_window_products assumes the BLAS gives a column the same bits at "
+    "any 8-aligned place of a pass of 64-window products, as OpenBLAS 0.3.31 "
+    "does with its SkylakeX kernels; this BLAS does not, so simulate's bank "
+    "rows, Z and tables would no longer equal run_bank's")
+
+
 @settings(max_examples=60, deadline=None)
 @given(packings())
 def test_shared_pass_equals_each_filter_alone(case):
@@ -88,8 +96,9 @@ def test_shared_pass_equals_each_filter_alone(case):
             for filt in filters])
     for filt, power, coeffs in zip(filters, powers, rows):
         bank = run_bank(SampleSequence(values=x), filt.operators.h_matrix)
-        assert np.array_equal(coeffs, bank.coeffs)
-        assert np.array_equal(power, residual_power(x, filt.transform))
+        assert np.array_equal(coeffs, bank.coeffs), PLACE_ASSUMPTION
+        assert np.array_equal(power, residual_power(x, filt.transform)), \
+            PLACE_ASSUMPTION
 
 
 @pytest.mark.parametrize("m", [65, 257])

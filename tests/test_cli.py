@@ -557,6 +557,21 @@ class TestSimulate:
         assert "validation error" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("amplitude", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    def test_non_finite_amplitude_is_validation_error(self, tmp_path, capsys,
+                                                      amplitude):
+        # json.load reads NaN and Infinity.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scenario": {"amplitude": amplitude}}))
+        out = tmp_path / "out"
+        rc = run(["simulate", "--scenario", "low-white", "--seed", 1,
+                  "--config", config, "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "validation error: pulse amplitude must be positive and finite" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_threshold_flag_rejected(self, tmp_path, capsys, value):
         out = tmp_path / "out"

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import sgwhiten as sg
-from sgwhiten.analysis_bank import (BLOCK_BYTES, FeatureSeries, SampleSequence,
-                                    run_bank, window_products)
-from sgwhiten.detector import (DEFAULT_MASKS, RESIDUAL_BYTES, HypothesisMask,
+from sgwhiten.analysis_bank import (BLOCK_BYTES, RESIDUAL_BYTES, SLAB_ROWS,
+                                    FeatureSeries, SampleSequence, run_bank,
+                                    window_products)
+from sgwhiten.detector import (DEFAULT_MASKS, HypothesisMask,
                                build_ortho_transform,
                                compute_statistic, detect, peak_snr,
                                residual_power, threshold_detect, to_decibels)
@@ -196,7 +197,7 @@ class TestNoiseCorrection:
         m, width = tr.residual_factor.shape
         padded = np.zeros((m, -(-width // 8) * 8))
         padded[:, :width] = tr.residual_factor
-        per_slice = RESIDUAL_BYTES // (8 * padded.shape[1])
+        per_slice = RESIDUAL_BYTES // (8 * padded.shape[1] * SLAB_ROWS) * SLAB_ROWS
         x = rng.normal(size=3 * per_slice + 100 + 16)
         out = window_products(x, padded)[:, :width]
         assert np.array_equal(residual_power(x, tr),

@@ -1,5 +1,6 @@
 """Scenario generation, reproducibility, and experiment-level behavior."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -44,6 +45,11 @@ class TestPulseTrain:
     def test_rejects_nonpositive_amplitude(self):
         with pytest.raises(ValueError):
             sim.gen_pulse_train(0.0)
+
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf])
+    def test_rejects_non_finite_amplitude(self, amplitude):
+        with pytest.raises(ValueError, match="finite"):
+            sim.gen_pulse_train(amplitude)
 
 
 class TestBackground:
@@ -318,6 +324,17 @@ class TestBatchedDetection:
         filters = {"A": presets["A"], "B33": fd.design_preset("B", m=33)}
         with pytest.raises(ValueError, match="window length"):
             sim.detect_traces(filters, traces)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_samples(self, presets, value):
+        trace = sg.build_trace("low-white", seed=0)
+        x = trace.x.copy()
+        x[40] = value
+        bad = dataclasses.replace(trace, x=x)
+        with pytest.raises(ValueError, match="NaN or infinity"):
+            sim.run_detector(presets["A"], bad)
+        with pytest.raises(ValueError, match="NaN or infinity"):
+            sim.detect_traces({"A": presets["A"]}, [trace, bad])
 
     def test_empty_seed_set_rejected(self):
         with pytest.raises(ValueError, match="seed"):

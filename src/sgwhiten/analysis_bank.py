@@ -8,6 +8,14 @@ polynomial segment can be re-synthesized.  One kernel, ``window_products``,
 serves the bank, single windows and streamed chunks; ``shared_window_products``
 runs several matrices (the detector's banks and residual factors) through it
 in shared passes.
+
+The kernel multiplies copied samples by the matrix with BLAS, in products of
+one shape per matrix (``slab_shape``).  A narrow matrix, such as an L-row
+bank, is laid out as a band (``_band``): one product row is a segment of
+P + M - 1 samples and gives the rows of P = 16 consecutive windows, so each
+window costs (P + M - 1) / P copied samples instead of M.  Every other
+matrix takes one window a product row.  Samples must be finite: a zero of the
+band times NaN is NaN, which would reach the other windows of a segment.
 """
 
 from __future__ import annotations
@@ -17,13 +25,29 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-# Bytes of windows per copied block, windows per product at most,
+# Bytes of segments per copied block, rows per product at most,
 # multiply-adds per product at most (OpenBLAS threads larger products) and
 # bytes of pass outputs shared_window_products holds at once.
 BLOCK_BYTES = 1 << 19
 SLAB_ROWS = 64
 PRODUCT_MADDS = 1 << 18
 RESIDUAL_BYTES = 1 << 19
+# Windows per segment of a banded matrix, the widest matrix banded and the
+# deepest segment (slab_shape).
+BAND_WINDOWS = 16
+BAND_WIDTH = 8
+BAND_DEPTH = 384
+
+
+def _checked(samples) -> np.ndarray:
+    """The samples as a 1-d float array; ValueError unless they are 1-d and
+    all finite."""
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("sample sequence must be one-dimensional")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("sample sequence contains NaN or infinity")
+    return x
 
 
 @dataclass(frozen=True)
@@ -34,11 +58,7 @@ class SampleSequence:
     start: int = 0
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1:
-            raise ValueError("sample sequence must be one-dimensional")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("sample sequence contains NaN or infinity")
+        vals = _checked(self.values)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -99,52 +119,95 @@ def analyze(window: np.ndarray, h_matrix: np.ndarray) -> np.ndarray:
     return window_products(window, h_matrix.T)[0]
 
 
-def slab_shape(m: int, width: int) -> tuple[int, int]:
-    """Windows per product, 2^k >= 2, and products per block for an M x width
-    matrix.  OpenBLAS 0.3.31 rounds a row differently with the product's shape,
-    the row's place in a product of other than 2^k rows and the product's split
-    between threads, and numpy sends one-row products down the vector path."""
-    fit = PRODUCT_MADDS // (m * max(width, 1))
+def slab_shape(m: int, width: int) -> tuple[int, int, int, int]:
+    """Windows per product row P, columns per product, rows per product
+    (2^k >= 2) and products per block for an M x width matrix.
+
+    A matrix of at most BAND_WIDTH columns is banded (``_band``) with
+    P = BAND_WINDOWS while its rows, P + M - 1 samples deep, fit BAND_DEPTH,
+    and keeps at least BAND_WIDTH columns; any other matrix has P = 1, one
+    window a row.  OpenBLAS 0.3.31 rounds a row differently with the
+    product's shape, the row's place in a product of other than 2^k rows
+    and the product's split between threads, and numpy sends one-row
+    products down the vector path.  With its SkylakeX kernels a band row
+    gives each window the bits of a product of copied windows by the matrix
+    padded to 8 columns when P * width is a multiple of 8.  A product larger
+    than PRODUCT_MADDS can split a sum deeper than one k-block (384 doubles)
+    in two, at a place that differs from window to window of a band row, so
+    bands stay within that depth."""
+    narrow = 0 < width <= BAND_WIDTH
+    p = BAND_WINDOWS if narrow and m + BAND_WINDOWS - 1 <= BAND_DEPTH else 1
+    columns = max(p * width, BAND_WIDTH) if narrow else width
+    depth = p + m - 1
+    fit = PRODUCT_MADDS // (depth * max(columns, 1))
     rows = min(SLAB_ROWS, 1 << max(fit.bit_length() - 1, 1))
-    return rows, max(BLOCK_BYTES // (8 * m * rows), 1)
+    return p, columns, rows, max(BLOCK_BYTES // (8 * depth * rows), 1)
 
 
-def _windows(samples, m: int) -> np.ndarray:
-    """Read-only (windows, M) view of every full window of the samples."""
-    x = np.asarray(samples, dtype=float)
-    # Overlapping windows; x.strides * 2 fits a 1-d x only, so others raise.
-    return as_strided(x, (max(len(x) - m + 1, 0), m), x.strides * 2,
-                      writeable=False)
+def _band(matrix: np.ndarray, p: int, columns: int) -> np.ndarray:
+    """The (P + M - 1) x columns block-Toeplitz matrix B with
+    B[t + j, t * width + c] = matrix[j, c], zero elsewhere: a segment
+    x[s:s + P + M - 1] times B holds the rows x[s + t:s + t + M] @ matrix,
+    t < P, side by side.  With P = 1 it is a row-major copy of the matrix,
+    padded with zero columns to ``columns`` (OpenBLAS took 1.7x as long with
+    the transposed M = 17 bank)."""
+    m, width = matrix.shape
+    band = np.zeros((p + m - 1, columns))
+    for t in range(p):
+        band[t:t + m, t * width:(t + 1) * width] = matrix
+    return band
 
 
-def _products(windows: np.ndarray, matrix: np.ndarray, out: np.ndarray,
+def _products(x: np.ndarray, band: np.ndarray, p: int, out: np.ndarray,
               block: np.ndarray) -> np.ndarray:
-    """Rows windows @ matrix, by products of ``out``'s (slabs, rows, width)
-    shape: the windows are copied into ``block`` and each product written
-    into ``out``, which holds at least all the windows."""
-    m, rows = matrix.shape[0], out.shape[1]
+    """Rows x[i:i+M] @ matrix for every full window of x, from the matrix's
+    band with P windows a segment, by products of ``out``'s
+    (products, rows, band columns) shape: segments of P + M - 1 samples, P
+    apart, are copied into ``block`` (the last, if x ends inside it, padded
+    with zeros) and each product is written into ``out``, which holds at
+    least all the windows."""
+    depth, rows = band.shape[0], out.shape[1]
+    windows = max(len(x) - depth + p, 0)
+    segments = -(-windows // p)
+    stride = x.strides[0]
+    # Overlapping segments, P apart; the last one may run past x.
+    whole = as_strided(x, (max((len(x) - depth) // p + 1, 0), depth),
+                       (p * stride, stride), writeable=False)
+    flat = block.reshape(-1, depth)
     for first in range(0, len(out), max(len(block), 1)):
-        part = windows[first * rows:(first + len(block)) * rows]
-        block.reshape(-1, m)[:len(part)] = part
-        used = -(-len(part) // rows)
-        np.matmul(block[:used], matrix, out=out[first:first + used])
-    return out.reshape(len(out) * rows, out.shape[2])[:len(windows)]
+        lo = first * rows
+        part = whole[lo:lo + len(flat)]
+        flat[:len(part)] = part
+        count = min(len(flat), segments - lo)
+        if len(part) < count:
+            tail = x[(lo + len(part)) * p:]
+            flat[len(part), :len(tail)] = tail
+            flat[len(part), len(tail):] = 0.0
+        used = -(-count // rows)
+        np.matmul(block[:used], band, out=out[first:first + used])
+    return out.reshape(len(out) * rows * p, out.shape[2] // p)[:windows]
 
 
 def window_products(samples: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Row i is x[i:i+M] @ matrix, for every full window of the samples.
+    """Row i is x[i:i+M] @ matrix, for every full window of the samples,
+    which must be 1-d and finite (else ValueError).
 
-    Windows are copied into blocks and multiplied by BLAS in products of one
-    shape (``slab_shape``), the last one padded with zeros or earlier windows,
-    so a row's bits depend only on its window and the matrix."""
-    # Row-major: OpenBLAS took 1.7x as long with the transposed M = 17 bank.
-    matrix = np.ascontiguousarray(matrix, dtype=float)
+    Each product row is one segment of P + M - 1 samples times the matrix's
+    band (``_band``), giving the rows of P consecutive windows; P = 1 for
+    all but narrow matrices (``slab_shape``).  Segments are copied into
+    blocks and multiplied by BLAS in products of one shape, the last one
+    padded with zeros or earlier segments, so a row's bits depend only on
+    its window and the matrix: a zero of the band times a finite sample adds
+    nothing to another window's sum."""
+    x = _checked(samples)
+    matrix = np.asarray(matrix, dtype=float)
     m, width = matrix.shape
-    windows = _windows(samples, m)
-    rows, per_block = slab_shape(m, width)
-    slabs = -(-len(windows) // rows)
-    return _products(windows, matrix, np.empty((slabs, rows, width)),
-                     np.zeros((min(per_block, slabs), rows, m)))
+    p, columns, rows, per_block = slab_shape(m, width)
+    products = -(-max(len(x) - m + 1, 0) // (p * rows))
+    out = _products(x, _band(matrix, p, columns), p,
+                    np.empty((products, rows, columns)),
+                    np.zeros((min(per_block, products), rows, p + m - 1)))
+    return out[:, :width]     # without the zero columns of a narrow matrix
 
 
 def shared_window_products(samples: np.ndarray, matrices):
@@ -153,16 +216,19 @@ def shared_window_products(samples: np.ndarray, matrices):
 
     Each matrix takes its width rounded up to a multiple of 8 (zero columns)
     and the matrices are packed left to right into passes of at most
-    PRODUCT_MADDS // (M * SLAB_ROWS) columns, so every product keeps SLAB_ROWS
-    windows.  A matrix wider than that once rounded runs alone, unpadded.
-    OpenBLAS 0.3.31 (SkylakeX kernels) gives a column the same bits at any
-    8-aligned place of such a pass, so a matrix's rows do not depend on what
-    it is packed with.  Yields (first window, one row array per matrix) for
-    consecutive slices of whole products of windows whose pass outputs take
-    at most RESIDUAL_BYTES (one product at least).  The arrays are views into
-    buffers that every slice reuses, so they hold their rows only until the
-    next slice is asked for.
+    PRODUCT_MADDS // (M * SLAB_ROWS) columns, so every product of a pass
+    wider than 8 columns keeps SLAB_ROWS windows; a pass of 8 is banded, as
+    ``window_products`` bands any narrow matrix.  A matrix wider than that
+    once rounded runs alone, unpadded.  OpenBLAS 0.3.31 (SkylakeX kernels)
+    gives a column the same bits at any 8-aligned place of such a pass, so a
+    matrix's rows do not depend on what it is packed with.  Yields (first
+    window, one row array per matrix) for consecutive slices of whole
+    products of windows whose pass outputs take at most RESIDUAL_BYTES (one
+    product at least).  The arrays are views into buffers that every slice
+    reuses, so they hold their rows only until the next slice is asked for.
+    ValueError unless the samples are 1-d and finite.
     """
+    x = _checked(samples)
     matrices = [np.asarray(matrix, dtype=float) for matrix in matrices]
     m = matrices[0].shape[0]
     limit = PRODUCT_MADDS // (m * SLAB_ROWS)
@@ -171,7 +237,7 @@ def shared_window_products(samples: np.ndarray, matrices):
     for i, matrix in enumerate(matrices):
         padded = -(-matrix.shape[1] // 8) * 8
         if padded > limit:
-            passes.append((np.ascontiguousarray(matrix), [(i, 0)]))
+            passes.append((matrix, [(i, 0)]))
             continue
         if not packs or packs[-1][0] + padded > limit:
             packs.append([0, []])
@@ -182,23 +248,25 @@ def shared_window_products(samples: np.ndarray, matrices):
         for i, first in members:
             stacked[:, first:first + matrices[i].shape[1]] = matrices[i]
         passes.append((stacked, members))
-    windows = _windows(samples, m)
+    windows = max(len(x) - m + 1, 0)
+    shapes = [slab_shape(m, matrix.shape[1]) for matrix, _ in passes]
     # Product heights are powers of two, so the tallest is a multiple of all.
-    tallest = max(slab_shape(m, matrix.shape[1])[0] for matrix, _ in passes)
+    tallest = max(p * rows for p, _, rows, _ in shapes)
     held = max(sum(matrix.shape[1] for matrix, _ in passes), 1)
     step = max(RESIDUAL_BYTES // (8 * held * tallest), 1) * tallest
-    buffers = []
-    for matrix, _ in passes:
-        rows, per_block = slab_shape(m, matrix.shape[1])
-        slabs = -(-min(step, len(windows)) // rows)
-        buffers.append((np.empty((slabs, rows, matrix.shape[1])),
-                        np.zeros((min(per_block, slabs), rows, m))))
-    for start in range(0, len(windows), step):
-        part = windows[start:start + step]
+    runs = []                   # (band, P, members, out, block) per pass
+    for (matrix, members), (p, columns, rows, per_block) in zip(passes, shapes):
+        products = -(-min(step, windows) // (p * rows))
+        runs.append((_band(matrix, p, columns), p, members,
+                     np.empty((products, rows, columns)),
+                     np.zeros((min(per_block, products), rows, p + m - 1))))
+    for start in range(0, windows, step):
+        part = x[start:start + step + m - 1]
+        count = min(step, windows - start)
         outs = [None] * len(matrices)
-        for (matrix, members), (out, block) in zip(passes, buffers):
-            got = _products(part, matrix, out[:-(-len(part) // out.shape[1])],
-                            block)
+        for band, p, members, out, block in runs:
+            got = _products(part, band, p,
+                            out[:-(-count // (p * out.shape[1]))], block)
             for i, first in members:
                 outs[i] = got[:, first:first + matrices[i].shape[1]]
         yield start, outs
@@ -229,7 +297,8 @@ def run_bank(x: SampleSequence, h_matrix: np.ndarray) -> FeatureSeries:
 
 class StreamingBank:
     """Chunked run_bank that keeps the last M - 1 samples between pushes; the
-    rows of all pushes equal the batch run bit for bit, however it is split."""
+    rows of all pushes equal the batch run bit for bit, however it is split.
+    A chunk that is not 1-d and finite raises ValueError and is not kept."""
 
     def __init__(self, h_matrix: np.ndarray):
         self.h_matrix = np.asarray(h_matrix, dtype=float)
@@ -239,8 +308,9 @@ class StreamingBank:
         """Append a scalar or 1-d chunk; return the (k, L) rows, k >= 0,
         that ``run_bank`` gives for the kept samples plus the chunk."""
         x = np.concatenate([self.tail, np.atleast_1d(np.asarray(samples, float))])
+        rows = window_products(x, self.h_matrix.T)
         self.tail = x[max(len(x) - self.h_matrix.shape[1] + 1, 0):].copy()
-        return window_products(x, self.h_matrix.T)
+        return rows
 
     def reset(self) -> None:
         self.tail = np.empty(0)

@@ -7,7 +7,8 @@ import pytest
 
 import sgwhiten as sg
 from sgwhiten.analysis_bank import (SampleSequence, StreamingBank, analyze,
-                                    convolve, run_bank, slab_shape, synthesize)
+                                    convolve, run_bank, slab_shape, synthesize,
+                                    window_products)
 
 # (preset, M) pairs the kernel tests cover: every preset at the default
 # width, a dense and a banded metric at M = 65, and the widest bank.
@@ -27,8 +28,14 @@ def banks():
 
 def block_windows(m):
     """Windows per copied block of the kernel for an L = 5 bank of width M."""
-    rows, per_block = slab_shape(m, 5)
-    return rows * per_block
+    p, _, rows, per_block = slab_shape(m, 5)
+    return p * rows * per_block
+
+
+def product_windows(m):
+    """Windows per product of the kernel for an L = 5 bank of width M."""
+    p, _, rows, _ = slab_shape(m, 5)
+    return p * rows
 
 
 def chunked(stream, x, sizes):
@@ -218,7 +225,7 @@ class TestRunBank:
     @pytest.mark.parametrize("label, m", [("A", 17), ("E", 257)])
     def test_every_row_equals_its_window_alone(self, label, m, banks, rng):
         h_matrix = banks[label, m].operators.h_matrix
-        x = rng.normal(size=block_windows(m) + slab_shape(m, 5)[0] + m)
+        x = rng.normal(size=block_windows(m) + product_windows(m) + m)
         feats = run_bank(SampleSequence(values=x), h_matrix)
         for i, row in enumerate(feats.coeffs):
             assert np.array_equal(analyze(x[i:i + m], h_matrix), row), i
@@ -257,3 +264,37 @@ class TestStreaming:
     def test_rejects_two_dimensional_chunk(self, plain):
         with pytest.raises(ValueError):
             StreamingBank(plain.operators.h_matrix).push(np.zeros((2, 17)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_chunk_and_keeps_nothing_of_it(self, bad, plain):
+        # A bad sample would reach the other windows of its band segment
+        # (0 * NaN is NaN), so the kernel rejects it; the stream goes on as
+        # if the chunk had never been pushed.
+        x = np.random.default_rng(3).normal(size=60)
+        stream = StreamingBank(plain.operators.h_matrix)
+        head = stream.push(x[:30])
+        chunk = x[30:45].copy()
+        chunk[7] = bad
+        with pytest.raises(ValueError, match="NaN or infinity"):
+            stream.push(chunk)
+        rows = np.concatenate([head, stream.push(x[30:])])
+        batch = run_bank(SampleSequence(values=x), plain.operators.h_matrix)
+        assert np.array_equal(rows, batch.coeffs)
+
+
+class TestNonFiniteSamples:
+    """The window kernel's entry points reject NaN and infinity."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_window_products(self, bad, plain):
+        x = np.zeros(400)
+        x[123] = bad
+        with pytest.raises(ValueError, match="NaN or infinity"):
+            window_products(x, plain.operators.h_matrix.T)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_analyze(self, bad, plain):
+        window = np.ones(17)
+        window[16] = bad
+        with pytest.raises(ValueError, match="NaN or infinity"):
+            analyze(window, plain.operators.h_matrix)

@@ -1,5 +1,6 @@
 """Property tests of the window kernel over random banks, lengths and
-chunkings, and of shared passes over random preset packings."""
+chunkings, of its band layout against copied windows, and of shared passes
+over random preset packings."""
 
 import functools
 
@@ -9,7 +10,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from sgwhiten.analysis_bank import (PRODUCT_MADDS, SLAB_ROWS,  # noqa: E402
+from sgwhiten.analysis_bank import (BAND_DEPTH,  # noqa: E402
+                                    BAND_WINDOWS, PRODUCT_MADDS, SLAB_ROWS,
                                     SampleSequence, StreamingBank, run_bank,
                                     slab_shape, window_products)
 from sgwhiten.detector import residual_power, residuals_and_rows  # noqa: E402
@@ -23,8 +25,8 @@ def banks_and_inputs(draw):
     of chunk sizes."""
     m = 2 * draw(st.integers(1, 64)) + 1
     l = draw(st.integers(1, m))
-    rows, per_block = slab_shape(m, l)
-    block = rows * per_block
+    p, _, rows, per_block = slab_shape(m, l)
+    block = p * rows * per_block
     n = m - 1 + draw(st.integers(1, 3 * block))
     sizes = draw(st.lists(st.integers(1, 5000), min_size=1, max_size=20))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -54,17 +56,76 @@ def test_rows_equal_convolution_and_streaming_equals_batch(case):
     assert np.array_equal(np.concatenate(rows), feats.coeffs)
 
 
+def copied_window_rows(x, matrix):
+    """The window kernel's rows as copied windows give them: every window
+    copied, in products of 64 windows (single-threaded up to M = 512), times
+    the matrix padded with zero columns to 8."""
+    m, width = matrix.shape
+    padded = np.zeros((m, 8))
+    padded[:, :width] = matrix
+    windows = np.lib.stride_tricks.sliding_window_view(x, m)
+    copied = np.zeros((-(-len(windows) // 64), 64, m))
+    copied.reshape(-1, m)[:len(windows)] = windows
+    return np.matmul(copied, padded).reshape(-1, 8)[:len(windows), :width]
+
+
+@st.composite
+def narrow_matrices_and_inputs(draw):
+    """An M x width matrix, width 1-8, M odd and half the time near the
+    deepest band; an input whose window count straddles a segment, product
+    or block boundary; and the sizes of the first chunks of a stream."""
+    width = draw(st.integers(1, 8))
+    limit = BAND_DEPTH - BAND_WINDOWS + 1          # the widest banded M
+    if draw(st.booleans()):
+        m = 2 * draw(st.integers(1, 64)) + 1
+    else:
+        m = 2 * draw(st.integers(limit // 2 - 8, limit // 2 + 16)) + 1
+    p, _, rows, per_block = slab_shape(m, width)
+    unit = draw(st.sampled_from([p, p * rows, p * rows * per_block]))
+    windows = max(unit * draw(st.integers(1, 3)) + draw(st.integers(-2, 2)), 1)
+    sizes = draw(st.lists(st.integers(1, 3000), min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return rng.normal(size=(m, width)), rng.normal(size=m - 1 + windows), sizes
+
+
+# Why the band layout can differ from copied windows.
+BAND_ASSUMPTION = (
+    "window_products assumes that a band row gives each of its windows the "
+    "bits of a copied window times the matrix padded to 8 columns, one "
+    "in-order sum per output, when P * width is a multiple of 8 and the "
+    "band is at most 384 samples deep, as OpenBLAS 0.3.31 does with its "
+    "SkylakeX kernels; this BLAS does not, so run_bank rows would move by "
+    "round-off and differ from the shared pass's")
+
+
+@settings(max_examples=80, deadline=None)
+@given(narrow_matrices_and_inputs())
+def test_band_rows_equal_copied_windows(case):
+    # However the windows fall on segments, products and blocks, and however
+    # a stream is chunked, every row of a matrix of width 1-8 equals the
+    # copied-window product through the matrix padded to 8 columns.
+    matrix, x, sizes = case
+    expected = copied_window_rows(x, matrix)
+    assert np.array_equal(window_products(x, matrix), expected), BAND_ASSUMPTION
+    # The chunks, then the rest in one push.
+    stream = StreamingBank(matrix.T)
+    cuts = np.cumsum(sizes)
+    rows = [stream.push(chunk) for chunk in np.split(x, cuts[cuts < len(x)])]
+    assert np.array_equal(np.concatenate(rows), expected), BAND_ASSUMPTION
+
+
 @functools.cache
-def _preset(label, m):
-    # design keeps 8 designs; the packings draw from 22.
-    return design_preset(label, m=m, l=5)
+def _preset(label, m, l=5):
+    # design keeps 8 designs; the packings draw from 66.
+    return design_preset(label, m=m, l=l)
 
 
 @st.composite
 def packings(draw):
-    """Presets in a random subset and order at one window length, and the
-    traces of one scenario laid end to end."""
+    """Presets in a random subset and order at one window length and order
+    L, and the traces of one scenario laid end to end."""
     m = draw(st.sampled_from([9, 13, 17, 33]))
+    l = draw(st.sampled_from([3, 4, 5]))
     labels = PRESET_LABELS[:4] if m == 9 else PRESET_LABELS
     chosen = draw(st.lists(st.sampled_from(labels), min_size=1,
                            max_size=len(labels), unique=True))
@@ -73,7 +134,7 @@ def packings(draw):
     traces = [build_trace(scenario, seed + k, gap=3 * m)
               for k in range(draw(st.integers(1, 40)))]
     x = np.concatenate([trace.x for trace in traces] + [np.zeros(m - 1)])
-    return [_preset(lab, m) for lab in chosen], x
+    return [_preset(lab, m, l) for lab in chosen], x
 
 
 # Why a shared pass can differ from a filter's own pass.
@@ -89,7 +150,8 @@ PLACE_ASSUMPTION = (
 def test_shared_pass_equals_each_filter_alone(case):
     # However the filters are chosen and ordered, a shared pass gives each
     # one the bank rows of run_bank and the residual of residual_power of
-    # that filter alone, bit for bit.
+    # that filter alone, bit for bit.  At L = 3 and 4 the bank is banded in
+    # run_bank and padded to 8 columns in the pass.
     filters, x = case
     powers, rows = residuals_and_rows(
         x, [(filt.transform.residual_factor, filt.operators.h_matrix.T)

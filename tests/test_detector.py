@@ -241,6 +241,13 @@ class TestNoiseCorrection:
             want = np.trace(gram[keep] @ inv[keep]) / (17 - 5)
             assert tr.mask_factors(masks).share == pytest.approx(want, rel=1e-9)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_residual_rejects_non_finite_samples(self, bad, transforms):
+        x = np.zeros(400)
+        x[200] = bad
+        with pytest.raises(ValueError, match="NaN or infinity"):
+            residual_power(x, transforms["A"])
+
     def test_exact_fit_has_no_residual(self):
         tr = build_ortho_transform(sg.build_vandermonde(5, 5), np.eye(5))
         assert tr.mask_factors(DEFAULT_MASKS).share == 0.0

@@ -51,6 +51,17 @@ class TestPulseTrain:
         with pytest.raises(ValueError, match="finite"):
             sim.gen_pulse_train(amplitude)
 
+    def test_one_read_only_train_per_amplitude_and_gap(self):
+        # Traces of one amplitude and gap share the train; none can alter it.
+        train, truth = sim.gen_pulse_train(3.0, gap=20)
+        again, again_truth = sim.gen_pulse_train(3.0, gap=20)
+        assert again is train and again_truth == truth
+        assert not train.flags.writeable
+        a = sim.build_trace("low-white", 4, amplitude=3.0, gap=20)
+        b = sim.build_trace("high-white", 5, amplitude=3.0, gap=20)
+        assert a.components["pulses"] is b.components["pulses"]
+        assert np.array_equal(a.components["pulses"], train)
+
 
 class TestBackground:
     def test_zero_phase_at_origin(self):

@@ -12,8 +12,11 @@ in-memory values exactly; a file whose taps are not M finite numbers for an
 odd M is rejected.
 
 Configuration is a single JSON object with one section per concern
-("design", "detector", "scenario", "output"); unknown keys are rejected.
-Command-line flags override config values.
+("design", "detector", "scenario", "output").  ``CONFIG_KEYS`` is the one
+table of its keys: each key's JSON type, checked when the file is loaded
+whatever the command, and its default.  Unknown keys are rejected.  Every
+setting is read by ``_setting``: the command-line flag if given, else the
+config value, else the table's default.
 
 Exit codes: 0 success, 2 config or validation error, 3 numerical failure,
 4 I/O or file-format error.
@@ -24,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from functools import cache, partial
 from itertools import compress, count, islice
@@ -36,7 +40,8 @@ from . import filter_design as fd
 from . import noise_models as nm
 from . import sim_harness as sim
 from .analysis_bank import SampleSequence, convolve
-from .detector import DB_FLOOR, DEFAULT_EPSILON, DEFAULT_GAMMA_DB, HypothesisMask
+from .detector import (DB_FLOOR, DEFAULT_EPSILON, DEFAULT_GAMMA_DB, DEFAULT_MASKS,
+                       HypothesisMask)
 from .errors import NumericalError
 
 
@@ -48,33 +53,44 @@ class FileFormatError(Exception):
     """Malformed input file (CSV or filter artifact)."""
 
 
-CONFIG_SECTIONS = {
-    "design": {"preset", "M", "L", "d", "ts", "noise", "sigma_nb",
-               "omega_list", "omega_c"},
-    "detector": {"gamma_db", "epsilon", "foreground_keep", "background_zero"},
-    "scenario": {"name", "seeds", "amplitude", "gap", "colored_white_noise"},
-    "output": {"dir", "format", "grid"},
+# Each JSON type of a config value, as a check of what ``json.load`` gives;
+# ``type`` is compared exactly, so a boolean is not a number.
+_IS_JSON = {
+    "integer": lambda v: type(v) is int,
+    "number": lambda v: type(v) in (int, float),
+    "string": lambda v: type(v) is str,
+    "boolean": lambda v: type(v) is bool,
+    "array of numbers": lambda v: type(v) is list and all(type(x) in (int, float)
+                                                          for x in v),
+    "integer or array of integers": lambda v: type(v) is int or (
+        type(v) is list and all(type(x) is int for x in v)),
+    'string "csv" or "json"': lambda v: v in ("csv", "json"),
+}
+
+# Every config key: its JSON type, and the value a command uses when neither
+# its flag nor the config gives one.  A type of None leaves the check to the
+# library class that reads the value (NoiseModel.from_dict, HypothesisMask).
+CONFIG_KEYS = {
+    "design": {"preset": ("string", None), "M": ("integer", 17), "L": ("integer", 5),
+               "d": ("integer", 0), "ts": ("number", 1.0), "noise": (None, None),
+               "sigma_nb": ("number", None), "omega_list": ("array of numbers", None),
+               "omega_c": ("number", None)},
+    "detector": {"gamma_db": ("number", DEFAULT_GAMMA_DB),
+                 "epsilon": ("number", DEFAULT_EPSILON),
+                 "foreground_keep": (None, DEFAULT_MASKS.foreground_keep),
+                 "background_zero": (None, DEFAULT_MASKS.background_zero)},
+    "scenario": {"name": ("string", "all"),
+                 "seeds": ("integer or array of integers", 1),
+                 "amplitude": ("number", sim.DEFAULT_AMPLITUDE),
+                 "gap": ("integer", None), "colored_white_noise": ("boolean", False)},
+    "output": {"dir": ("string", "."), "format": ('string "csv" or "json"', "csv"),
+               "grid": ("integer", 4096)},
 }
 
 
-_NUMBER = (int, float)  # a JSON number; ``type`` is checked exactly, so no bool
-
-
-def _config(section: dict, key: str, kind, default=None):
-    """Config value ``key`` of ``section``, exactly a ``kind`` (a type or a
-    tuple of types) when present; a JSON null counts as absent."""
-    value = section.get(key)
-    if value is None:
-        return default
-    kinds = kind if isinstance(kind, tuple) else (kind,)
-    if type(value) not in kinds:
-        names = " or ".join(k.__name__ for k in kinds)
-        raise ConfigError(f"config value {key!r} must be a JSON {names}, "
-                          f"got {value!r}")
-    return value
-
-
 def load_config(path: str | Path) -> dict:
+    """The config file, every key known and of its JSON type; a JSON null
+    counts as absent."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -82,17 +98,44 @@ def load_config(path: str | Path) -> dict:
         raise FileFormatError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - set(CONFIG_SECTIONS)
+    unknown = set(raw) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    for section, allowed in CONFIG_SECTIONS.items():
+    for section, keys in CONFIG_KEYS.items():
         block = raw.get(section, {})
         if not isinstance(block, dict):
             raise ConfigError(f"config section {section!r} must be an object")
-        bad = set(block) - allowed
+        bad = set(block) - set(keys)
         if bad:
             raise ConfigError(f"unknown keys in config section {section!r}: {sorted(bad)}")
+        for key, value in block.items():
+            kind = keys[key][0]
+            if kind is not None and value is not None and not _IS_JSON[kind](value):
+                raise ConfigError(f"config value {key!r} must be a JSON {kind}, "
+                                  f"got {value!r}")
     return raw
+
+
+def _setting(config: dict, name: str, flag=None, required=False):
+    """The value of setting ``name`` ("section.key"): the flag if given, else
+    the config value, else the table's default; a ``required`` setting has
+    none, so its absence is a ConfigError."""
+    if flag is not None:
+        return flag
+    section, key = name.split(".")
+    value = config.get(section, {}).get(key)
+    if value is not None:
+        return value
+    if required:
+        raise ConfigError(f"missing required parameter {key!r}")
+    return CONFIG_KEYS[section][key][1]
+
+
+def _write_json(path: Path, doc, indent=2) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=indent)
+        fh.write("\n")
 
 
 _FORMATS = {"b": lambda v: "1" if v else "0", "i": str, "u": str, "f": repr, "U": str}
@@ -183,20 +226,18 @@ def _raise_first_bad_row(path, column, data, line_numbers, last_line) -> None:
 
 
 def write_filter_file(filt: fd.DesignedFilter, path: Path) -> None:
+    """The design's provenance, taps and diagnostics as strict JSON: an
+    infinite condition number is written as null."""
     spec = filt.spec
-    doc = {
+    _write_json(path, {
         "label": filt.label,
         "M": spec.m, "L": spec.l, "d": spec.d, "ts": spec.ts,
         "noise": spec.noise.to_dict(),
         "h": [float(v) for v in filt.h],
         "wng": filt.wng,
         "omega_delta": filt.omega_delta,
-        "condition": filt.condition,
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        "condition": filt.condition if math.isfinite(filt.condition) else None,
+    })
 
 
 def load_filter_file(path: str | Path) -> dict:
@@ -217,7 +258,7 @@ def load_filter_file(path: str | Path) -> dict:
         if type(doc[key]) is not int:
             raise FileFormatError(f"filter file {path}: {key}={doc[key]!r} "
                                   "is not an integer")
-    if "ts" in doc and type(doc["ts"]) not in _NUMBER:
+    if "ts" in doc and not _IS_JSON["number"](doc["ts"]):
         raise FileFormatError(f"filter file {path}: ts={doc['ts']!r} is not a number")
     if m % 2 == 0:
         raise FileFormatError(f"filter file {path}: M={m!r} is not an odd integer")
@@ -229,40 +270,26 @@ def load_filter_file(path: str | Path) -> dict:
     return doc
 
 
-def _require(config_value, flag_value, name: str):
-    value = flag_value if flag_value is not None else config_value
-    if value is None:
-        raise ConfigError(f"missing required parameter {name!r}")
-    return value
-
-
-def _out_dir(args, config) -> Path:
-    out = args.out or config.get("output", {}).get("dir") or "."
-    return Path(out)
-
-
 def cmd_design(args, config) -> int:
-    section = config.get("design", {})
-    m = _require(_config(section, "M", int), args.M, "M")
-    l = _require(_config(section, "L", int), args.L, "L")
-    d = args.d if args.d is not None else _config(section, "d", int, 0)
-    ts = _config(section, "ts", _NUMBER, 1.0)
-    ts = float(args.ts if args.ts is not None else ts)
-    preset = args.preset or section.get("preset")
+    m = _setting(config, "design.M", args.M, required=True)
+    l = _setting(config, "design.L", args.L, required=True)
+    d = _setting(config, "design.d", args.d)
+    ts = float(_setting(config, "design.ts", args.ts))
+    preset = _setting(config, "design.preset", args.preset)
 
     if preset:
         filt = fd.design_preset(preset, m=m, l=l, d=d, ts=ts,
-                                sigma_nb=section.get("sigma_nb"),
-                                omega_list=section.get("omega_list"),
-                                omega_c=section.get("omega_c"))
+                                sigma_nb=_setting(config, "design.sigma_nb"),
+                                omega_list=_setting(config, "design.omega_list"),
+                                omega_c=_setting(config, "design.omega_c"))
     else:
-        noise_doc = section.get("noise")
+        noise_doc = _setting(config, "design.noise")
         if noise_doc is None:
             raise ConfigError("either a preset label or a design.noise model is required")
         noise = nm.NoiseModel.from_dict(noise_doc)
         filt = fd.design(fd.DesignSpec(m=m, l=l, d=d, ts=ts, noise=noise))
 
-    out = _out_dir(args, config) / f"filter_{filt.label}.json"
+    out = Path(_setting(config, "output.dir", args.out)) / f"filter_{filt.label}.json"
     write_filter_file(filt, out)
     null = "none" if filt.omega_delta is None else f"{filt.omega_delta:.6f}"
     print(f"filter {filt.label}: M={m} L={l} d={d} "
@@ -273,31 +300,25 @@ def cmd_design(args, config) -> int:
 
 def cmd_response(args, config) -> int:
     doc = load_filter_file(args.filter_file)
-    grid = (args.grid if args.grid is not None else
-            _config(config.get("output", {}), "grid", int, 4096))
-    fmt = args.format or config.get("output", {}).get("format", "csv")
+    grid = _setting(config, "output.grid", args.grid)
+    fmt = _setting(config, "output.format", args.format)
     omega, resp = fd.frequency_response(doc["h"], grid)
     mag = np.abs(resp)
     power = mag ** 2
     with np.errstate(divide="ignore"):
         db = np.maximum(20.0 * np.log10(mag), DB_FLOOR)
-    out_dir = _out_dir(args, config)
+    out_dir = Path(_setting(config, "output.dir", args.out))
     label = doc.get("label", "custom")
     if fmt == "csv":
         out = out_dir / f"response_{label}.csv"
         write_csv(out, ("omega", "magnitude", "power", "db"),
                   (omega, mag, power, db),
                   comments=(f"label={label} M={doc['M']} L={doc['L']} d={doc['d']}",))
-    elif fmt == "json":
-        out = out_dir / f"response_{label}.json"
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump({"label": label, "omega": omega.tolist(),
-                       "magnitude": mag.tolist(), "power": power.tolist(),
-                       "db": db.tolist()}, fh)
-            fh.write("\n")
     else:
-        raise ConfigError(f"unknown output format {fmt!r}")
+        out = out_dir / f"response_{label}.json"
+        _write_json(out, {"label": label, "omega": omega.tolist(),
+                          "magnitude": mag.tolist(), "power": power.tolist(),
+                          "db": db.tolist()}, indent=None)
     print(f"wrote {out}")
     return 0
 
@@ -317,7 +338,7 @@ def cmd_filter(args, config) -> int:
     x = read_csv_column(Path(args.input), "x")
     filtered = convolve(SampleSequence(values=x), taps)
     k = (len(taps) - 1) // 2
-    out = _out_dir(args, config) / "filtered.csv"
+    out = Path(_setting(config, "output.dir", args.out)) / "filtered.csv"
     n = np.arange(filtered.start, filtered.start + len(filtered))
     write_csv(out, ("n", "x", "y"), (n, x[n], filtered.values),
               comments=(f"label={doc.get('label', 'custom')} "
@@ -328,53 +349,32 @@ def cmd_filter(args, config) -> int:
     return 0
 
 
-def _resolve_seeds(args, section) -> list[int]:
-    if args.seed:
-        return [int(s) for s in args.seed]
-    if args.seeds is not None:
-        return list(range(args.seeds))
-    seeds = section.get("seeds", [0])
-    if type(seeds) is int:
-        return list(range(seeds))
-    if type(seeds) is not list or any(type(s) is not int for s in seeds):
-        raise ConfigError(f"config value 'seeds' must be a JSON int or a list "
-                          f"of them, got {seeds!r}")
-    return seeds
-
-
 def cmd_simulate(args, config) -> int:
-    scen_cfg = config.get("scenario", {})
-    det_cfg = config.get("detector", {})
-    scenario = args.scenario or scen_cfg.get("name") or "all"
+    scenario = _setting(config, "scenario.name", args.scenario)
+    if scenario != "all" and scenario not in sim.SCENARIOS:
+        raise ConfigError(f"unknown scenario tag {scenario!r}; "
+                          f"expected one of {sim.SCENARIOS} or 'all'")
     scenarios = sim.SCENARIOS if scenario == "all" else (scenario,)
-    for name in scenarios:
-        if name not in sim.SCENARIOS:
-            raise ConfigError(f"unknown scenario tag {name!r}; "
-                              f"expected one of {sim.SCENARIOS} or 'all'")
-    seeds = _resolve_seeds(args, scen_cfg)
-    amplitude = float(_config(scen_cfg, "amplitude", _NUMBER, sim.DEFAULT_AMPLITUDE))
-    gap = _config(scen_cfg, "gap", int)
-    gamma_db = _config(det_cfg, "gamma_db", _NUMBER, DEFAULT_GAMMA_DB)
-    gamma_db = float(args.gamma_db if args.gamma_db is not None else gamma_db)
-    epsilon = float(_config(det_cfg, "epsilon", _NUMBER, DEFAULT_EPSILON))
+    seeds = _setting(config, "scenario.seeds",
+                     [int(s) for s in args.seed] if args.seed else args.seeds)
+    if type(seeds) is int:
+        seeds = range(seeds)
+    m = _setting(config, "design.M", args.M)
+    gamma_db = float(_setting(config, "detector.gamma_db", args.gamma_db))
     masks = HypothesisMask(
-        foreground_keep=det_cfg.get("foreground_keep", (2,)),
-        background_zero=det_cfg.get("background_zero", (0, 2)))
-    colored_white = _config(scen_cfg, "colored_white_noise", bool, False)
-    fmt = args.format or config.get("output", {}).get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown output format {fmt!r}")
-    out_dir = _out_dir(args, config)
+        foreground_keep=_setting(config, "detector.foreground_keep"),
+        background_zero=_setting(config, "detector.background_zero"))
+    out_dir = Path(_setting(config, "output.dir", args.out))
 
-    result = sim.run_experiment(scenarios=scenarios, m=args.M, l=args.L,
-                                gamma_db=gamma_db, seeds=seeds,
-                                amplitude=amplitude,
-                                gap=gap,
-                                epsilon=epsilon, masks=masks,
-                                colored_white_noise=colored_white,
-                                sink=partial(_write_seed_outputs, out_dir,
-                                             gamma_db, args.M))
-    _write_table(out_dir, result, fmt)
+    result = sim.run_experiment(
+        scenarios=scenarios, m=m, l=_setting(config, "design.L", args.L),
+        gamma_db=gamma_db, seeds=seeds,
+        amplitude=float(_setting(config, "scenario.amplitude")),
+        gap=_setting(config, "scenario.gap"),
+        epsilon=float(_setting(config, "detector.epsilon")), masks=masks,
+        colored_white_noise=_setting(config, "scenario.colored_white_noise"),
+        sink=partial(_write_seed_outputs, out_dir, gamma_db, m))
+    _write_table(out_dir, result)
     for name in scenarios:
         cells = " ".join(f"{lab}={result.cells[(name, lab)].median_db:6.1f}"
                          for lab in result.labels)
@@ -414,13 +414,10 @@ def _write_seed_outputs(out_dir, gamma_db, m, trace, filters, reports) -> None:
               comments=(f"scenario={trace.name} seed={trace.seed} "
                         f"amplitude={trace.amplitude} gamma_db={gamma_db}",
                         f"rows are window centers; group delay {k} compensated",))
-    with open(out_dir / f"detections_{stem}.json", "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write_json(out_dir / f"detections_{stem}.json", summary)
 
 
-def _write_table(out_dir, result, fmt) -> None:
+def _write_table(out_dir, result) -> None:
     table = result.table()
     columns = [result.scenarios] + [[table[name][lab] for name in result.scenarios]
                                     for lab in result.labels]
@@ -438,9 +435,7 @@ def _write_table(out_dir, result, fmt) -> None:
                "any_event": result.cells[(name, lab)].any_event_fraction,
                "nonquad_event": result.cells[(name, lab)].nonquad_event,
            } for name in result.scenarios for lab in result.labels}}
-    with open(out_dir / "table.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(out_dir / "table.json", doc)
 
 
 @cache
@@ -486,8 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seeds", type=int, help="use seeds 0..N-1")
     p_sim.add_argument("--gamma-db", dest="gamma_db", type=float,
                        help="detection threshold in dB (default 20)")
-    p_sim.add_argument("--M", type=int, default=17, help="window length (default 17)")
-    p_sim.add_argument("--L", type=int, default=5, help="monomial terms (default 5)")
+    p_sim.add_argument("--M", type=int, help="window length (default 17)")
+    p_sim.add_argument("--L", type=int, help="monomial terms (default 5)")
     p_sim.add_argument("--format", choices=("csv", "json"))
     return parser
 

@@ -376,7 +376,8 @@ def design_preset(label: str, m: int = 17, l: int = 5, d: int = 0,
 
     B, C, E and F derive their cut-off from the first null of the plain
     preset A at the same (M, L) via omega_c = 0.75 * omega_delta unless
-    ``omega_c`` overrides it.  ``sigma_nb`` overrides the pole damping of D
+    ``omega_c`` overrides it; an ``omega_c`` that is not positive and finite
+    is a ValueError.  ``sigma_nb`` overrides the pole damping of D
     and E, ``omega_list`` the pole frequencies of E.
     """
     label = label.upper()
@@ -389,6 +390,8 @@ def design_preset(label: str, m: int = 17, l: int = 5, d: int = 0,
     sigma = DEFAULT_SIGMA_NB if sigma_nb is None else sigma_nb
     if omega_c is None and label in ("B", "C", "F"):
         omega_c = preset_cutoff(m, l, ts)
+    elif omega_c is not None and not 0 < omega_c < math.inf:
+        raise ValueError(f"cut-off omega_c must be positive and finite, got {omega_c!r}")
 
     if label == "B":
         noise = nm.NoiseModel.gaussian_kernel(lam=3.0 / omega_c, ts=ts)

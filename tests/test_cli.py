@@ -290,6 +290,36 @@ class TestDesign:
                   "--config", config, "--out", tmp_path])
         assert rc == 3
 
+    @pytest.mark.parametrize("omega_c", [0, -0.5, math.inf, math.nan])
+    @pytest.mark.parametrize("preset", ["B", "C"])
+    def test_bad_cutoff_is_validation_error(self, tmp_path, capsys, preset,
+                                            omega_c):
+        # json.load reads Infinity and NaN.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"design": {"omega_c": omega_c}}))
+        out = tmp_path / "out"
+        rc = run(["design", "--preset", preset, "--M", 17, "--L", 5,
+                  "--config", config, "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "validation error" in err and "omega_c" in err
+        assert not out.exists()
+
+    def test_infinite_condition_written_as_null(self, tmp_path):
+        # The outer weights underflow to 0, so the condition number is infinite.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"design": {
+            "noise": {"kind": "gaussian-kernel", "lam": 0.2}}}))
+        rc = run(["design", "--M", 17, "--L", 5, "--config", config,
+                  "--out", tmp_path])
+        assert rc == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        text = (tmp_path / "filter_custom.json").read_text()
+        assert json.loads(text, parse_constant=reject)["condition"] is None
+
     @pytest.mark.parametrize("source", ["preset", "config"])
     def test_nan_sampling_period_rejected(self, tmp_path, capsys, source):
         config = tmp_path / "config.json"
@@ -525,6 +555,15 @@ class TestSimulate:
         assert rc == 0
         assert calls == {"bank": 0, "shared": 1, "design": 6}
 
+    def test_config_window_reaches_table(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"design": {"M": 33, "L": 3}}))
+        rc = run(["simulate", "--scenario", "low-white", "--config", config,
+                  "--out", tmp_path])
+        assert rc == 0
+        table = json.loads((tmp_path / "table.json").read_text())
+        assert (table["M"], table["L"]) == (33, 3)
+
     @pytest.mark.parametrize("args", [["--seeds", 0], ["--config", "empty"]],
                              ids=["seeds-0", "config-empty-list"])
     def test_empty_seed_set_is_validation_error(self, tmp_path, capsys, args):
@@ -636,8 +675,8 @@ class TestGoldenTrace:
 
 
 class TestConfigTypes:
-    """Integer config values are JSON integers and flags JSON booleans;
-    anything else is a config error, never a silently converted value."""
+    """Every config value has its JSON type, whatever the command; anything
+    else is a config error, never a silently converted value."""
 
     COMMANDS = {"design": ["--preset", "A"],
                 "simulate": ["--scenario", "low-white"],
@@ -658,9 +697,23 @@ class TestConfigTypes:
         ("simulate", "detector", "gamma_db", True),
         ("simulate", "detector", "epsilon", [1e-9]),
         ("design", "design", "ts", "2"),
+        ("design", "design", "preset", 5),
+        ("design", "design", "omega_c", "x"),
+        ("design", "design", "omega_c", True),
+        ("design", "design", "omega_list", 5),
+        ("design", "design", "omega_list", [True]),
+        ("design", "design", "sigma_nb", True),
+        ("design", "output", "dir", 5),
+        ("response", "output", "format", 5),
+        ("simulate", "output", "format", "xml"),
+        ("simulate", "scenario", "name", 5),
+        ("design", "scenario", "amplitude", "10"),
     ], ids=["M-float", "L-string", "L-bool", "d-float", "seeds-string", "seeds-float",
             "seed-float", "gap-float", "grid-float", "colored-string",
-            "amplitude-string", "gamma-bool", "epsilon-list", "ts-string"])
+            "amplitude-string", "gamma-bool", "epsilon-list", "ts-string",
+            "preset-int", "omega_c-string", "omega_c-bool", "omega_list-int",
+            "omega_list-bool", "sigma_nb-bool", "dir-int", "format-int",
+            "format-unknown", "name-int", "unread-section"])
     def test_wrong_type_is_config_error(self, tmp_path, capsys, command,
                                         section, key, value):
         doc = {"design": {"M": 17, "L": 5}}
@@ -675,6 +728,30 @@ class TestConfigTypes:
         assert "config error" in err and repr(key) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flags, doc", [
+        ("design", ["--preset", "E", "--M", 17, "--L", 5, "--d", 1, "--ts", 0.5],
+         {"design": {"preset": "E", "M": 17, "L": 5, "d": 1, "ts": 0.5}}),
+        ("response", [GOLDEN / "filter_A.json", "--grid", 100, "--format", "json"],
+         {"output": {"grid": 100, "format": "json"}}),
+        ("simulate", ["--scenario", "low-white", "--seed", 1, "--seed", 4,
+                      "--gamma-db", 25, "--M", 19, "--L", 4, "--format", "json"],
+         {"scenario": {"name": "low-white", "seeds": [1, 4]},
+          "detector": {"gamma_db": 25}, "design": {"M": 19, "L": 4},
+          "output": {"format": "json"}}),
+    ], ids=["design", "response", "simulate"])
+    def test_flags_and_config_are_interchangeable(self, tmp_path, command,
+                                                   flags, doc):
+        by_flags, by_config = tmp_path / "flags", tmp_path / "config"
+        config = tmp_path / "config.json"
+        doc = {**doc, "output": {**doc.get("output", {}), "dir": str(by_config)}}
+        config.write_text(json.dumps(doc))
+        positional = [a for a in flags if isinstance(a, Path)]
+        assert run([command, *flags, "--out", by_flags]) == 0
+        assert run([command, *positional, "--config", config]) == 0
+        names = sorted(p.name for p in by_flags.iterdir())
+        assert names == sorted(p.name for p in by_config.iterdir())
+        for name in names:
+            assert (by_flags / name).read_bytes() == (by_config / name).read_bytes()
 
     def test_json_int_accepted_for_float_values(self, tmp_path):
         config = tmp_path / "config.json"
@@ -715,8 +792,9 @@ class TestEntryPoint:
             "input": str(GOLDEN / "trace_low_white_seed0.csv"), "d": None}]
         first, second = seen["simulate"]
         assert (first["gamma_db"], second["gamma_db"]) == (30.0, None)
-        assert {k: v for k, v in first.items() if k != "gamma_db"} \
-            == {k: v for k, v in second.items() if k != "gamma_db"}
+        assert (first["M"], second["M"]) == (17, None)
+        assert {k: v for k, v in first.items() if k not in ("gamma_db", "M")} \
+            == {k: v for k, v in second.items() if k not in ("gamma_db", "M")}
         assert (filt_out / "filtered.csv").read_bytes() \
             == (GOLDEN / "filtered_A.csv").read_bytes()
         table = json.loads((sim_out / "table.json").read_text())

@@ -24,7 +24,7 @@ from .filter_design import (DesignSpec, DesignedFilter, RegressionOperators,
                             solve_weighted_ls, white_noise_gain,
                             PRESET_LABELS)
 from .analysis_bank import (FeatureSeries, SampleSequence, StreamingBank,
-                            analyze, convolve, run_bank, synthesize)
+                            convolve, run_bank, synthesize)
 from .detector import (DetectionReport, HypothesisMask, OrthoTransform,
                        build_ortho_transform, compute_statistic, detect,
                        peak_snr, threshold_detect, to_decibels)

@@ -5,9 +5,9 @@ ever applied, and the half-window group delay is carried as alignment
 metadata instead.  The bank runs all L analysis rows at once, producing a
 per-sample vector of local monomial coefficient estimates from which a
 polynomial segment can be re-synthesized.  One kernel, ``window_products``,
-serves the bank, single windows and streamed chunks; ``shared_window_products``
-runs several matrices (the detector's banks and residual factors) through it
-in shared passes.
+serves the bank and streamed chunks (one window's coefficients are its row 0);
+``shared_window_products`` runs several matrices (the detector's banks and
+residual factors) through it in shared passes.
 
 The kernel multiplies copied samples by the matrix with BLAS, in products of
 one shape per matrix (``slab_shape``).  A narrow matrix, such as an L-row
@@ -108,15 +108,6 @@ def convolve(x: SampleSequence, filt) -> SampleSequence:
     # y[n] = sum h[m] x[n-m] is the correlation of x with the reversed taps.
     interior = np.convolve(x.values, taps, mode="valid")
     return SampleSequence(values=interior, start=x.start + k)
-
-
-def analyze(window: np.ndarray, h_matrix: np.ndarray) -> np.ndarray:
-    """Coefficient estimates for one window: alpha = H x, centered coordinates."""
-    window = np.asarray(window, dtype=float)
-    if window.shape != (h_matrix.shape[1],):
-        raise ValueError(
-            f"window length {window.shape} does not match bank width {h_matrix.shape[1]}")
-    return window_products(window, h_matrix.T)[0]
 
 
 def slab_shape(m: int, width: int) -> tuple[int, int, int, int]:

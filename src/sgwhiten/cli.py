@@ -8,8 +8,9 @@ string.  ``read_csv_column`` reads the whole file in one pass and parses its
 column a block of rows at a time; an error still names the physical line of
 the first bad row.  Filter artifacts are JSON documents
 carrying the complete design provenance, so reloading one reproduces the
-in-memory values exactly; a file whose taps are not M finite numbers for an
-odd M is rejected.
+in-memory values exactly; a file that is not a JSON object, whose taps are
+not M finite numbers for an odd M, whose ts is not finite or whose label is
+not a string free of path separators is rejected.
 
 Configuration is a single JSON object with one section per concern
 ("design", "detector", "scenario", "output").  ``CONFIG_KEYS`` is the one
@@ -241,11 +242,16 @@ def write_filter_file(filt: fd.DesignedFilter, path: Path) -> None:
 
 
 def load_filter_file(path: str | Path) -> dict:
+    """The artifact as a dict with ``h`` as an array; FileFormatError unless
+    it is a JSON object whose taps, integers, ``ts`` and ``label`` are valid.
+    A label names output files, so it is a string without a path separator."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"filter file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FileFormatError(f"filter file {path} is not a JSON object")
     for key in ("M", "L", "d", "h"):
         if key not in doc:
             raise FileFormatError(f"filter file {path} is missing key {key!r}")
@@ -258,8 +264,14 @@ def load_filter_file(path: str | Path) -> dict:
         if type(doc[key]) is not int:
             raise FileFormatError(f"filter file {path}: {key}={doc[key]!r} "
                                   "is not an integer")
-    if "ts" in doc and not _IS_JSON["number"](doc["ts"]):
-        raise FileFormatError(f"filter file {path}: ts={doc['ts']!r} is not a number")
+    if "ts" in doc and not (_IS_JSON["number"](doc["ts"])
+                            and math.isfinite(doc["ts"])):
+        raise FileFormatError(f"filter file {path}: ts={doc['ts']!r} is not a "
+                              "finite number")
+    label = doc.setdefault("label", "custom")
+    if type(label) is not str or "/" in label or "\\" in label:
+        raise FileFormatError(f"filter file {path}: label={label!r} is not a "
+                              "string without path separators")
     if m % 2 == 0:
         raise FileFormatError(f"filter file {path}: M={m!r} is not an odd integer")
     if h.shape != (m,):
@@ -308,7 +320,7 @@ def cmd_response(args, config) -> int:
     with np.errstate(divide="ignore"):
         db = np.maximum(20.0 * np.log10(mag), DB_FLOOR)
     out_dir = Path(_setting(config, "output.dir", args.out))
-    label = doc.get("label", "custom")
+    label = doc["label"]
     if fmt == "csv":
         out = out_dir / f"response_{label}.csv"
         write_csv(out, ("omega", "magnitude", "power", "db"),
@@ -333,7 +345,7 @@ def cmd_filter(args, config) -> int:
         noise = nm.NoiseModel.from_dict(doc["noise"])
         filt = fd.design(fd.DesignSpec(m=doc["M"], l=doc["L"], d=args.d,
                                        ts=doc.get("ts", 1.0), noise=noise),
-                         label=doc.get("label", "custom"))
+                         label=doc["label"])
         taps = filt.h
     x = read_csv_column(Path(args.input), "x")
     filtered = convolve(SampleSequence(values=x), taps)
@@ -341,7 +353,7 @@ def cmd_filter(args, config) -> int:
     out = Path(_setting(config, "output.dir", args.out)) / "filtered.csv"
     n = np.arange(filtered.start, filtered.start + len(filtered))
     write_csv(out, ("n", "x", "y"), (n, x[n], filtered.values),
-              comments=(f"label={doc.get('label', 'custom')} "
+              comments=(f"label={doc['label']} "
                         f"M={doc['M']} d={args.d if args.d is not None else doc['d']}",
                         f"group_delay={k}; y[n] estimates the window centered "
                         f"on input sample n",))
@@ -483,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="detection threshold in dB (default 20)")
     p_sim.add_argument("--M", type=int, help="window length (default 17)")
     p_sim.add_argument("--L", type=int, help="monomial terms (default 5)")
-    p_sim.add_argument("--format", choices=("csv", "json"))
     return parser
 
 

@@ -50,7 +50,8 @@ ground-truth pulse extents the per-pulse peak of Z can be extracted.
 Detection is two steps: ``detection_statistics`` computes Z and D for the
 coefficient rows of one series or of a stack of equal-length series (a
 leading trace axis), and ``build_reports`` thresholds each series and takes its
-peaks.  ``detect`` is the one-series case.
+peaks.  ``detect`` is the one-series case.  ``compute_statistic`` is Z alone,
+stacked or not, and ``threshold_detect`` is the one crossing rule, for Z or D.
 """
 
 from __future__ import annotations
@@ -317,24 +318,19 @@ def _powers(coeffs: np.ndarray, transform: OrthoTransform,
             np.einsum("...ij,...ij->...i", back, back))
 
 
-def compute_statistic(features: FeatureSeries, transform: OrthoTransform,
+def compute_statistic(features, transform: OrthoTransform,
                       masks: HypothesisMask = DEFAULT_MASKS,
                       epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
-    """Fitted foreground-to-background power ratio Z per sample.
+    """Fitted foreground-to-background power ratio Z = p1 / (p0 + eps).
 
-    Returns the linear-scale series aligned with ``features``; use
-    ``to_decibels`` for the dB form.  ``epsilon`` guards the denominator and
-    must be positive.
+    ``features`` is a ``FeatureSeries`` or its coefficient rows, (samples, L)
+    or stacked (traces, samples, L); Z has the shape of the rows, linear
+    scale (``to_decibels`` gives the dB form).  A stacked trace's Z equals
+    its series' alone bit for bit.  ``epsilon`` guards the denominator and
+    must be positive and finite.
     """
-    return power_ratio(features.coeffs, transform, masks, epsilon)
-
-
-def power_ratio(coeffs: np.ndarray, transform: OrthoTransform,
-                masks: HypothesisMask = DEFAULT_MASKS,
-                epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
-    """Z = p1 / (p0 + eps) of coefficient rows, (samples, L) or
-    (traces, samples, L), with the shape of the rows."""
-    p1, p0 = _powers(coeffs, transform, masks, epsilon)
+    p1, p0 = _powers(getattr(features, "coeffs", features), transform, masks,
+                     epsilon)
     return p1 / (p0 + epsilon)
 
 
@@ -344,17 +340,13 @@ def to_decibels(z: np.ndarray) -> np.ndarray:
         return 10.0 * np.log10(np.asarray(z, dtype=float))
 
 
-def _check_threshold(gamma_db: float) -> None:
+def threshold_detect(z_db: np.ndarray, gamma_db: float = DEFAULT_GAMMA_DB,
+                     offset: int = 0) -> np.ndarray:
+    """Absolute sample indices where a dB series exceeds the threshold,
+    which must be finite (else ValueError)."""
     if not math.isfinite(gamma_db):
         raise ValueError(
             f"detection threshold gamma_db must be finite, got {gamma_db!r}")
-
-
-def threshold_detect(z_db: np.ndarray, gamma_db: float = DEFAULT_GAMMA_DB,
-                     offset: int = 0) -> np.ndarray:
-    """Absolute sample indices where the statistic exceeds the threshold,
-    which must be finite."""
-    _check_threshold(gamma_db)
     return np.nonzero(np.asarray(z_db) > gamma_db)[0] + offset
 
 
@@ -403,15 +395,14 @@ def build_reports(z: np.ndarray, z_db: np.ndarray, decision_db: np.ndarray,
                   offset: int, gamma_db: float = DEFAULT_GAMMA_DB,
                   pulse_extents=None,
                   half_window: int | None = None) -> list[DetectionReport]:
-    """Threshold D and assemble one report per series of a stack
-    (traces, samples) whose first rows are all at absolute sample ``offset``.
+    """Threshold D (``threshold_detect``) and assemble one report per series
+    of a stack (traces, samples) whose first rows are all at absolute sample
+    ``offset``.
 
     ``pulse_extents`` (with ``half_window``) adds per-pulse peak SNR values
     of Z for ground-truth supports shared by the series.  ``gamma_db`` must
     be finite.
     """
-    _check_threshold(gamma_db)
-    above = np.asarray(decision_db) > gamma_db
     peaks = [()] * len(z)
     if pulse_extents is not None:
         if half_window is None:
@@ -421,8 +412,9 @@ def build_reports(z: np.ndarray, z_db: np.ndarray, decision_db: np.ndarray,
             peaks = list(zip(*(column.tolist() for column in columns)))
     return [DetectionReport(z=z[i], z_db=z_db[i], decision_db=decision_db[i],
                             gamma_db=gamma_db,
-                            events=above[i].nonzero()[0] + offset, offset=offset,
-                            peak_snr_db=peaks[i])
+                            events=threshold_detect(decision_db[i], gamma_db,
+                                                    offset),
+                            offset=offset, peak_snr_db=peaks[i])
             for i in range(len(z))]
 
 
@@ -431,14 +423,16 @@ def detect(features: FeatureSeries, transform: OrthoTransform,
            masks: HypothesisMask = DEFAULT_MASKS,
            epsilon: float = DEFAULT_EPSILON,
            gamma_db: float = DEFAULT_GAMMA_DB,
-           pulse_extents=None, half_window: int | None = None) -> DetectionReport:
+           pulse_extents=None) -> DetectionReport:
     """Run both statistics, threshold D, and assemble a report.
 
     ``residual`` is the ``residual_power`` series of the samples behind
-    ``features``.  ``pulse_extents`` (with ``half_window``) adds per-pulse
-    peak SNR values of Z for ground-truth supports.
+    ``features``.  ``pulse_extents`` adds per-pulse peak SNR values of Z for
+    ground-truth supports, each widened by the half window of the
+    transform's M.
     """
     stats = detection_statistics(features.coeffs, transform, residual, masks,
                                  epsilon)
     return build_reports(*(series[None] for series in stats), features.offset,
-                         gamma_db, pulse_extents, half_window)[0]
+                         gamma_db, pulse_extents,
+                         (transform.w_scaled.shape[0] - 1) // 2)[0]

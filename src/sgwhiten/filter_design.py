@@ -68,8 +68,8 @@ class DesignSpec:
             raise ValueError("monomial count L must satisfy 1 <= L <= M")
         if not 0 <= self.d < self.l:
             raise ValueError("derivative order d must satisfy 0 <= d < L")
-        if not self.ts > 0:
-            raise ValueError("sampling period must be positive")
+        if not 0 < self.ts < math.inf:
+            raise ValueError("sampling period must be positive and finite")
         # Only narrow-band models carry poles; L <= M keeps the limit >= 0.
         limit = self.half_length + 1 - ((self.l - 1) // 2 + 1)
         if len(self.noise.poles) > limit:
@@ -84,16 +84,15 @@ class DesignSpec:
 
 @dataclass(frozen=True)
 class RegressionOperators:
-    """Matrices behind a design: basis psi, weights W, analysis H, derivative D."""
+    """Matrices behind a design: basis psi, weights W, analysis H."""
 
     psi: np.ndarray       # M x L discrete monomials
     weight: nm.WeightMatrix
     h_matrix: np.ndarray  # L x M analysis (filter bank) matrix
-    deriv: np.ndarray     # L x L derivative operator
     mu: np.ndarray        # L moment constraints [1, 0, ...]
 
     def __post_init__(self) -> None:
-        for name in ("psi", "h_matrix", "deriv", "mu"):
+        for name in ("psi", "h_matrix", "mu"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -365,7 +364,7 @@ def design(spec: DesignSpec, label: str = "custom") -> DesignedFilter:
         taps = 0.5 * (taps - taps[::-1])
 
     operators = RegressionOperators(psi=psi, weight=weight, h_matrix=h_matrix,
-                                    deriv=deriv, mu=mu)
+                                    mu=mu)
     return DesignedFilter(h=taps, operators=operators, spec=spec, label=label)
 
 

@@ -62,8 +62,8 @@ class NoiseModel:
         family = _KINDS.get(self.kind)
         if family is None:
             raise ValueError(f"unknown noise model kind {self.kind!r}")
-        if not self.ts > 0:
-            raise ValueError("sampling period must be positive")
+        if not 0 < self.ts < math.inf:
+            raise ValueError("sampling period must be positive and finite")
         missing = [name for name in family.fields if getattr(self, name) in (None, ())]
         if missing:
             raise ValueError(f"{self.kind} model needs {' and '.join(missing)}")
@@ -197,10 +197,6 @@ class WeightMatrix:
             raise ValueError("inverse-toeplitz weights need their source's condition number")
         w.setflags(write=False)
         object.__setattr__(self, "matrix", w)
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
 
 
 def wideband_autocorr(omega_c: float, omega_d: float, kmax: int) -> AutocorrSequence:

@@ -47,8 +47,8 @@ from . import filter_design as fd
 from .analysis_bank import SampleSequence, run_bank
 from .detector import (DEFAULT_EPSILON, DEFAULT_GAMMA_DB, DEFAULT_MASKS,
                        DetectionReport, HypothesisMask, build_reports,
-                       detection_statistics, power_ratio, residuals_and_rows,
-                       to_decibels)
+                       compute_statistic, detection_statistics,
+                       residuals_and_rows, to_decibels)
 
 SCENARIOS = ("low-white", "high-white", "matched-colored", "mismatched-colored")
 
@@ -445,8 +445,8 @@ def _medium_peaks(filt: fd.DesignedFilter, traces, gap: int,
         parts["pulses"] = gen_pulse_train(amplitude, gap)[0][read]
         x = _end_to_end(_compose(parts.values()), m)
         features = run_bank(SampleSequence(values=x), filt.operators.h_matrix)
-        z = power_ratio(_by_trace(features.coeffs, len(traces), m),
-                        filt.transform, epsilon=epsilon)
+        z = compute_statistic(_by_trace(features.coeffs, len(traces), m),
+                              filt.transform, epsilon=epsilon)
         return to_decibels(z).max(axis=1)
 
     return peaks

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import sgwhiten as sg
-from sgwhiten.analysis_bank import (SampleSequence, StreamingBank, analyze,
-                                    convolve, run_bank, slab_shape, synthesize,
+from sgwhiten.analysis_bank import (SampleSequence, StreamingBank, convolve,
+                                    run_bank, slab_shape, synthesize,
                                     window_products)
 
 # (preset, M) pairs the kernel tests cover: every preset at the default
@@ -36,6 +36,11 @@ def product_windows(m):
     """Windows per product of the kernel for an L = 5 bank of width M."""
     p, _, rows, _ = slab_shape(m, 5)
     return p * rows
+
+
+def one_window(window, h_matrix):
+    """The bank's coefficients of a single window: the kernel's row 0."""
+    return window_products(window, h_matrix.T)[0]
 
 
 def chunked(stream, x, sizes):
@@ -101,15 +106,17 @@ class TestConvolve:
 
 
 class TestAnalyze:
+    """A single window's coefficients: row 0 of the kernel over that window."""
+
     def test_recovers_known_coefficients(self, plain, rng):
         psi = plain.operators.psi
         alpha = rng.normal(size=psi.shape[1])
         window = psi @ alpha
-        estimate = analyze(window, plain.operators.h_matrix)
+        estimate = one_window(window, plain.operators.h_matrix)
         assert np.abs(estimate - alpha).max() <= 1e-9 * max(np.abs(alpha).max(), 1)
 
     def test_zero_window(self, plain):
-        est = analyze(np.zeros(17), plain.operators.h_matrix)
+        est = one_window(np.zeros(17), plain.operators.h_matrix)
         assert np.array_equal(est, np.zeros(5))
 
     def test_centered_pulse_quadratic_coefficient(self, plain):
@@ -128,10 +135,6 @@ class TestAnalyze:
         window = feats.coeffs[small_center - feats.offset]
         assert window[2] < 0
 
-    def test_wrong_window_length(self, plain):
-        with pytest.raises(ValueError):
-            analyze(np.zeros(16), plain.operators.h_matrix)
-
 
 class TestSynthesize:
     def test_zero_coefficients(self, plain):
@@ -145,7 +148,7 @@ class TestSynthesize:
     def test_roundtrip_on_polynomial(self, plain, rng):
         alpha = rng.normal(size=5)
         window = plain.operators.psi @ alpha
-        back = synthesize(analyze(window, plain.operators.h_matrix),
+        back = synthesize(one_window(window, plain.operators.h_matrix),
                           plain.operators.psi)
         assert np.abs(back - window).max() <= 1e-9 * max(np.abs(window).max(), 1)
 
@@ -228,7 +231,7 @@ class TestRunBank:
         x = rng.normal(size=block_windows(m) + product_windows(m) + m)
         feats = run_bank(SampleSequence(values=x), h_matrix)
         for i, row in enumerate(feats.coeffs):
-            assert np.array_equal(analyze(x[i:i + m], h_matrix), row), i
+            assert np.array_equal(one_window(x[i:i + m], h_matrix), row), i
 
 
 class TestStreaming:
@@ -291,10 +294,3 @@ class TestNonFiniteSamples:
         x[123] = bad
         with pytest.raises(ValueError, match="NaN or infinity"):
             window_products(x, plain.operators.h_matrix.T)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_analyze(self, bad, plain):
-        window = np.ones(17)
-        window[16] = bad
-        with pytest.raises(ValueError, match="NaN or infinity"):
-            analyze(window, plain.operators.h_matrix)

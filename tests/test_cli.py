@@ -333,6 +333,21 @@ class TestDesign:
         assert "sampling period" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("preset, source", [("A", "flag"), ("C", "flag"),
+                                                ("A", "config")])
+    def test_infinite_sampling_period_rejected(self, tmp_path, capsys, preset,
+                                               source):
+        # An infinite ts would be written as the non-JSON token Infinity.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"design": {"ts": math.inf}}))
+        route = ["--ts", "inf"] if source == "flag" else ["--config", config]
+        out = tmp_path / "out"
+        rc = run(["design", "--preset", preset, "--M", 17, "--L", 5, *route,
+                  "--out", out])
+        assert rc == 2
+        assert "sampling period" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestResponse:
     @pytest.fixture()
@@ -379,6 +394,19 @@ class TestResponse:
         bad.write_text("{not json")
         assert run(["response", bad, "--out", tmp_path]) == 4
 
+    @pytest.mark.parametrize("label", ["x/../../esc", "x\\..\\esc", None, 7])
+    def test_label_cannot_leave_the_output_directory(self, tmp_path, capsys,
+                                                     label):
+        doc = json.loads((GOLDEN / "filter_A.json").read_text())
+        doc["label"] = label
+        artifact = tmp_path / "artifact.json"
+        artifact.write_text(json.dumps(doc))
+        out = tmp_path / "deep" / "out"
+        rc = run(["response", artifact, "--out", out])
+        assert rc == 4
+        assert "label" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["artifact.json"]
+
 
 class TestFilterCommand:
     @pytest.fixture()
@@ -423,7 +451,8 @@ class TestFilterCommand:
 
     @pytest.mark.parametrize("case", ["taps-length", "even-M", "non-finite",
                                       "non-numeric", "L-string", "M-bool",
-                                      "ts-string"])
+                                      "ts-string", "ts-infinite", "top-int",
+                                      "top-string"])
     def test_bad_filter_file_rejected(self, tmp_path, case, capsys):
         doc = json.loads((GOLDEN / "filter_A.json").read_text())
         # These files are run with --d, which re-derives the taps from L and ts.
@@ -432,6 +461,12 @@ class TestFilterCommand:
             doc["L"] = "5"
         elif case == "ts-string":
             doc["ts"] = "x"
+        elif case == "ts-infinite":
+            doc["ts"] = math.inf
+        elif case == "top-int":
+            doc = 5
+        elif case == "top-string":
+            doc = "MLdh"
         elif case == "M-bool":
             doc["M"] = True
             doc["h"] = doc["h"][:1]
@@ -734,7 +769,7 @@ class TestConfigTypes:
         ("response", [GOLDEN / "filter_A.json", "--grid", 100, "--format", "json"],
          {"output": {"grid": 100, "format": "json"}}),
         ("simulate", ["--scenario", "low-white", "--seed", 1, "--seed", 4,
-                      "--gamma-db", 25, "--M", 19, "--L", 4, "--format", "json"],
+                      "--gamma-db", 25, "--M", 19, "--L", 4],
          {"scenario": {"name": "low-white", "seeds": [1, 4]},
           "detector": {"gamma_db": 25}, "design": {"M": 19, "L": 4},
           "output": {"format": "json"}}),

@@ -135,6 +135,20 @@ class TestStatistic:
             rel = np.abs(z1[strong] - z0[strong]) / z0[strong]
             assert rel.max() <= 0.01
 
+    @pytest.mark.parametrize("label", sg.PRESET_LABELS)
+    def test_stacked_rows_equal_each_series_alone(self, label, presets,
+                                                  transforms, rng):
+        # Calibration takes Z of a (traces, samples, L) stack at once.
+        h_matrix = presets[label].operators.h_matrix
+        series = [run_bank(SampleSequence(values=rng.normal(size=300)), h_matrix)
+                  for _ in range(4)]
+        stacked = compute_statistic(np.stack([f.coeffs for f in series]),
+                                    transforms[label])
+        assert stacked.shape == (4, len(series[0]))
+        for row, features in zip(stacked, series):
+            assert np.array_equal(row, compute_statistic(features,
+                                                         transforms[label]))
+
     def test_masks_configurable(self, transforms):
         masks = HypothesisMask(foreground_keep=(1,), background_zero=(0, 1))
         z = compute_statistic(features_from([[0, 2.0, 0, 0, 0]]), transforms["A"],
@@ -362,7 +376,7 @@ class TestPeakSnr:
         x = np.concatenate([np.zeros(51), pulse, np.zeros(51)])
         feats = run_bank(SampleSequence(values=x), presets["A"].operators.h_matrix)
         report = detect(feats, transforms["A"], residual_power(x, transforms["A"]),
-                        pulse_extents=[(51, 68)], half_window=8)
+                        pulse_extents=[(51, 68)])
         assert report.peak_snr_db[0] == pytest.approx(NOISE_FREE_MEDIUM_PEAK_DB,
                                                       abs=1e-9)
 
@@ -374,16 +388,8 @@ class TestDetectPipeline:
                          presets["A"].operators.h_matrix)
         report = detect(feats, transforms["A"],
                         residual_power(trace.x, transforms["A"]),
-                        pulse_extents=trace.extents(), half_window=8)
+                        pulse_extents=trace.extents())
         assert len(report.peak_snr_db) == 5
         assert report.offset == 8
         assert np.all(report.events >= report.offset)
         assert np.all(report.events < report.offset + len(report.z))
-
-    def test_half_window_required_with_extents(self, presets, transforms):
-        trace = sg.build_trace("low-white", seed=0)
-        feats = run_bank(SampleSequence(values=trace.x),
-                         presets["A"].operators.h_matrix)
-        with pytest.raises(ValueError):
-            detect(feats, transforms["A"], residual_power(trace.x, transforms["A"]),
-                   pulse_extents=trace.extents())

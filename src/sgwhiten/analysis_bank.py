@@ -6,8 +6,9 @@ metadata instead.  The bank runs all L analysis rows at once, producing a
 per-sample vector of local monomial coefficient estimates from which a
 polynomial segment can be re-synthesized.  One kernel, ``window_products``,
 serves the bank and streamed chunks (one window's coefficients are its row 0);
-``shared_window_products`` runs several matrices (the detector's banks and
-residual factors) through it in shared passes.
+``shared_window_products`` runs several matrices (the detector's residual
+factors) through it in shared passes.  Coefficient rows come from
+``run_bank`` alone, so they never depend on what else a pass holds.
 
 The kernel multiplies copied samples by the matrix with BLAS, in products of
 one shape per matrix (``slab_shape``).  A narrow matrix, such as an L-row

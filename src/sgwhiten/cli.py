@@ -265,9 +265,9 @@ def load_filter_file(path: str | Path) -> dict:
             raise FileFormatError(f"filter file {path}: {key}={doc[key]!r} "
                                   "is not an integer")
     if "ts" in doc and not (_IS_JSON["number"](doc["ts"])
-                            and math.isfinite(doc["ts"])):
+                            and 0 < doc["ts"] < math.inf):
         raise FileFormatError(f"filter file {path}: ts={doc['ts']!r} is not a "
-                              "finite number")
+                              "positive finite number")
     label = doc.setdefault("label", "custom")
     if type(label) is not str or "/" in label or "\\" in label:
         raise FileFormatError(f"filter file {path}: label={label!r} is not a "

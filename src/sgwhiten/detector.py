@@ -32,11 +32,12 @@ where the metric makes the quadratic column nearly collinear with the others
 (about 724 for the wide-band preset F at M = 17, 1.2-7.7 for the rest).
 D <= Z, so every event is also a Z crossing.  The residual is the sum of
 squares of M - L FIR outputs, through the columns of a factor V of the
-residual form, V V' = W_s - W_s psi G^-1 psi' W_s.  ``residuals_and_rows``
-gets the residuals and bank rows of several filters from one shared window
-pass (``analysis_bank.shared_window_products``), in which V is padded with
-zero columns to a multiple of 8 where that fits; ``residual_power`` runs
-one V by the same rule, so a residual has the same bits alone or shared.
+residual form, V V' = W_s - W_s psi G^-1 psi' W_s.  ``residual_powers``
+gets the residuals of several filters from one shared window pass
+(``analysis_bank.shared_window_products``), in which each V is padded with
+zero columns to a multiple of 8 where that fits; ``residual_power`` is its
+one-filter case, so a residual has the same bits alone or shared.  The
+coefficient rows come from ``analysis_bank.run_bank`` alone.
 
 W is first rescaled to unit maximum element.  Both ratios are unchanged by
 the scale of W except through eps, so the rescaling fixes the scale the
@@ -267,39 +268,30 @@ def _window_count(x: np.ndarray, m: int) -> int:
     return len(x) - m + 1
 
 
-def residual_power(samples: np.ndarray, transform: OrthoTransform) -> np.ndarray:
-    """Whitened residual power e' W_s e of the polynomial fit to every full
-    window, aligned with the bank's feature series over the same samples:
-    the sum of squares of the window's M - L outputs through the transform's
-    residual factor, by the rule of ``residuals_and_rows``."""
-    x = np.asarray(samples, dtype=float)
-    power = np.empty(_window_count(x, transform.w_scaled.shape[0]))
-    for first, (out,) in shared_window_products(x, [transform.residual_factor]):
-        np.einsum("nk,nk->n", out, out, out=power[first:first + len(out)])
-    return power
+def residual_powers(samples: np.ndarray, transforms) -> list:
+    """For each transform, the whitened residual power e' W_s e of the
+    polynomial fit to every full window of the samples, aligned with the
+    bank's feature series over the same samples: the sum of squares of the
+    window's M - L outputs through the transform's residual factor.
 
-
-def residuals_and_rows(samples: np.ndarray, pairs):
-    """For each (V, A) in ``pairs``, the sums of squares of x @ V and the
-    rows x @ A, for every full window x of the samples: ([powers], [rows]).
-
-    All come from shared window passes (``shared_window_products``), each
-    V packed just before its A, over bounded slices of windows, so what is
-    held beyond the results does not grow with the input.  A power or row
-    depends only on its window and its own V or A, so a power equals
-    ``residual_power`` of its V alone.
+    All factors go through shared window passes
+    (``shared_window_products``) over bounded slices of windows, so what is
+    held beyond the results does not grow with the input.  A power depends
+    only on its window and its own factor, so each equals that transform's
+    ``residual_power`` alone.
     """
     x = np.asarray(samples, dtype=float)
-    n = _window_count(x, pairs[0][0].shape[0])
-    powers = [np.empty(n) for _ in pairs]
-    rows = [np.empty((n, a.shape[1])) for _, a in pairs]
-    matrices = [matrix for pair in pairs for matrix in pair]
-    for first, outs in shared_window_products(x, matrices):
-        for power, row, out, cols in zip(powers, rows, outs[::2], outs[1::2]):
-            stop = first + len(out)
-            np.einsum("nk,nk->n", out, out, out=power[first:stop])
-            row[first:stop] = cols
-    return powers, rows
+    factors = [transform.residual_factor for transform in transforms]
+    powers = [np.empty(_window_count(x, factors[0].shape[0])) for _ in factors]
+    for first, outs in shared_window_products(x, factors):
+        for power, out in zip(powers, outs):
+            np.einsum("nk,nk->n", out, out, out=power[first:first + len(out)])
+    return powers
+
+
+def residual_power(samples: np.ndarray, transform: OrthoTransform) -> np.ndarray:
+    """``residual_powers`` of one transform."""
+    return residual_powers(samples, [transform])[0]
 
 
 def _powers(coeffs: np.ndarray, transform: OrthoTransform,

@@ -183,9 +183,9 @@ def solve_weighted_ls(weight: np.ndarray, psi: np.ndarray) -> np.ndarray:
         raise IllConditionedError(f"normal matrix is singular: {exc}") from exc
 
 
-def extract_coefficients(h_matrix: np.ndarray, deriv: np.ndarray, d: int,
+def extract_coefficients(h_matrix: np.ndarray, deriv: np.ndarray,
                          mu: np.ndarray) -> np.ndarray:
-    """FIR taps for derivative order d from the analysis matrix.
+    """FIR taps for the derivative D^d = ``deriv`` from the analysis matrix.
 
     The window-ordered regression row is mu' D^d H; reversing it yields the
     taps h[m] of the convolution sum(h[m] x[n-m]), so that filtering any
@@ -351,7 +351,7 @@ def design(spec: DesignSpec, label: str = "custom") -> DesignedFilter:
 
     h_matrix = solve_weighted_ls(weight.matrix, psi)
     if weight.provenance != "inverse-toeplitz" or weight.condition <= KKT_CONDITION_LIMIT:
-        taps = extract_coefficients(h_matrix, deriv, spec.d, mu)
+        taps = extract_coefficients(h_matrix, deriv, mu)
     else:
         r_matrix = nm.correlation_matrix(spec.noise, spec.m)
         constraint = deriv.T @ mu

@@ -21,15 +21,16 @@ the designs, and each filter its detector transform, so repeat runs reuse
 both), builds the (scenario, seed) traces in groups of bounded size, and
 runs all presets over a group in one ``detect_traces`` call: the traces, of
 one length, are laid end to end, one shared window pass gives every
-preset's bank rows and residual, and the rows whose windows straddle two
-traces are dropped.  It aggregates a scenarios-by-filters matrix of
-medium-pulse peak SNRs (peaks of the fitted ratio Z), in the shape of a
-standard comparison table.  Detection patterns count crossings of the
-noise-corrected statistic D, which needs the trace samples as well as the
-bank's coefficients (see ``detector``).  Amplitude calibration bisects over
-pulse amplitudes 0.1 to 1000 and reads only the Z peak of the medium pulse:
-it builds each seed's trace once and, per bisection step, recomposes only
-the samples that peak reads, for all seeds in one bank pass.  A window's
+preset's residual and one bank pass each preset's coefficient rows, and
+the rows whose windows straddle two traces are dropped.  It aggregates a
+scenarios-by-filters matrix of medium-pulse peak SNRs (peaks of the fitted
+ratio Z), in the shape of a standard comparison table.  Detection patterns
+count crossings of the noise-corrected statistic D, which needs the trace
+samples as well as the bank's coefficients (see ``detector``).  Amplitude
+calibration bisects over pulse amplitudes 0.1 to 1000 and reads only the Z
+peak of the medium pulse: it builds each seed's trace once and, per
+bisection step, recomposes only the samples that peak reads, for all seeds
+in one bank pass.  A window's
 bank row depends only on the window (``analysis_bank.window_products``), so
 both give the results of whole traces analysed one at a time, bit for bit.
 """
@@ -48,7 +49,7 @@ from .analysis_bank import SampleSequence, run_bank
 from .detector import (DEFAULT_EPSILON, DEFAULT_GAMMA_DB, DEFAULT_MASKS,
                        DetectionReport, HypothesisMask, build_reports,
                        compute_statistic, detection_statistics,
-                       residuals_and_rows, to_decibels)
+                       residual_powers, to_decibels)
 
 SCENARIOS = ("low-white", "high-white", "matched-colored", "mismatched-colored")
 
@@ -247,11 +248,12 @@ def detect_traces(filters, traces, gamma_db: float = DEFAULT_GAMMA_DB,
                   epsilon: float = DEFAULT_EPSILON,
                   masks: HypothesisMask = DEFAULT_MASKS) -> dict:
     """Full pipeline for filters of one window length M over traces of one
-    length and pulse layout: one shared window pass over the traces end to
-    end gives every filter's bank rows and residual (``residuals_and_rows``),
-    the statistics run on the stack, and each trace gets one report per
-    filter.  ``filters`` maps labels to ``DesignedFilter``s; the result maps
-    each label to its reports, in trace order.
+    length and pulse layout: over the traces end to end, one shared window
+    pass gives every filter's residual (``residual_powers``) and ``run_bank``
+    each filter's bank rows, the statistics run on the stack, and each trace
+    gets one report per filter.  ``filters`` maps labels to
+    ``DesignedFilter``s; the result maps each label to its reports, in trace
+    order.
 
     Each report equals a run of its filter over its trace alone bit for bit:
     a window's bank row and residual depend only on the window and the
@@ -269,12 +271,12 @@ def detect_traces(filters, traces, gamma_db: float = DEFAULT_GAMMA_DB,
     if any(trace.extents() != extents for trace in traces[1:]):
         raise ValueError("traces detected together must share their pulse layout")
     (m,) = lengths
-    x = _end_to_end(np.stack([trace.x for trace in traces]), m)
-    residuals, coeffs = residuals_and_rows(
-        x, [(filt.transform.residual_factor, filt.operators.h_matrix.T)
-            for filt in filters.values()])
+    x = SampleSequence(values=_end_to_end(np.stack([t.x for t in traces]), m))
+    residuals = residual_powers(x.values, [filt.transform
+                                           for filt in filters.values()])
     reports = {}
-    for (label, filt), residual, rows in zip(filters.items(), residuals, coeffs):
+    for (label, filt), residual in zip(filters.items(), residuals):
+        rows = run_bank(x, filt.operators.h_matrix).coeffs
         stats = detection_statistics(_by_trace(rows, len(traces), m),
                                      filt.transform,
                                      _by_trace(residual, len(traces), m),

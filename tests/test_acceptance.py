@@ -93,7 +93,7 @@ def test_criterion_4_solver_equivalence(presets):
         via_kkt = fd.solve_kkt(r, filt.operators.psi, filt.operators.mu)
         via_ls = fd.extract_coefficients(
             filt.operators.h_matrix, fd.derivative_operator(filt.spec.l, 0),
-            0, filt.operators.mu)
+            filt.operators.mu)
         worst = max(worst,
                     np.abs(via_kkt - via_ls).max() / np.abs(via_ls).max())
     conditioning = {lab: presets[lab].condition for lab in ("D", "E")}

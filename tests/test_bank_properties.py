@@ -14,7 +14,7 @@ from sgwhiten.analysis_bank import (BAND_DEPTH,  # noqa: E402
                                     BAND_WINDOWS, PRODUCT_MADDS, SLAB_ROWS,
                                     SampleSequence, StreamingBank, run_bank,
                                     slab_shape, window_products)
-from sgwhiten.detector import residual_power, residuals_and_rows  # noqa: E402
+from sgwhiten.detector import residual_power, residual_powers  # noqa: E402
 from sgwhiten.filter_design import PRESET_LABELS, design_preset  # noqa: E402
 from sgwhiten.sim_harness import SCENARIOS, build_trace  # noqa: E402
 
@@ -95,7 +95,7 @@ BAND_ASSUMPTION = (
     "in-order sum per output, when P * width is a multiple of 8 and the "
     "band is at most 384 samples deep, as OpenBLAS 0.3.31 does with its "
     "SkylakeX kernels; this BLAS does not, so run_bank rows would move by "
-    "round-off and differ from the shared pass's")
+    "round-off")
 
 
 @settings(max_examples=80, deadline=None)
@@ -141,24 +141,19 @@ def packings(draw):
 PLACE_ASSUMPTION = (
     "shared_window_products assumes the BLAS gives a column the same bits at "
     "any 8-aligned place of a pass of 64-window products, as OpenBLAS 0.3.31 "
-    "does with its SkylakeX kernels; this BLAS does not, so simulate's bank "
-    "rows, Z and tables would no longer equal run_bank's")
+    "does with its SkylakeX kernels; this BLAS does not, so simulate's "
+    "residuals and D would no longer equal residual_power's of each filter "
+    "alone")
 
 
 @settings(max_examples=60, deadline=None)
 @given(packings())
 def test_shared_pass_equals_each_filter_alone(case):
     # However the filters are chosen and ordered, a shared pass gives each
-    # one the bank rows of run_bank and the residual of residual_power of
-    # that filter alone, bit for bit.  At L = 3 and 4 the bank is banded in
-    # run_bank and padded to 8 columns in the pass.
+    # one the residual of residual_power of that filter alone, bit for bit.
     filters, x = case
-    powers, rows = residuals_and_rows(
-        x, [(filt.transform.residual_factor, filt.operators.h_matrix.T)
-            for filt in filters])
-    for filt, power, coeffs in zip(filters, powers, rows):
-        bank = run_bank(SampleSequence(values=x), filt.operators.h_matrix)
-        assert np.array_equal(coeffs, bank.coeffs), PLACE_ASSUMPTION
+    powers = residual_powers(x, [filt.transform for filt in filters])
+    for filt, power in zip(filters, powers):
         assert np.array_equal(power, residual_power(x, filt.transform)), \
             PLACE_ASSUMPTION
 
@@ -171,14 +166,10 @@ def test_wide_residual_factor_runs_alone_unpadded(m):
     # in a pass with other filters.
     filters = [_preset(lab, m) for lab in ("E", "A")]
     x = np.random.default_rng(m).normal(size=3 * m + 200)
-    powers, rows = residuals_and_rows(
-        x, [(filt.transform.residual_factor, filt.operators.h_matrix.T)
-            for filt in filters])
-    for filt, power, coeffs in zip(filters, powers, rows):
+    powers = residual_powers(x, [filt.transform for filt in filters])
+    for filt, power in zip(filters, powers):
         factor = filt.transform.residual_factor
         assert -(-factor.shape[1] // 8) * 8 > PRODUCT_MADDS // (m * SLAB_ROWS)
         out = window_products(x, factor)
         assert np.array_equal(power, np.einsum("nk,nk->n", out, out))
         assert np.array_equal(residual_power(x, filt.transform), power)
-        bank = run_bank(SampleSequence(values=x), filt.operators.h_matrix)
-        assert np.array_equal(coeffs, bank.coeffs)

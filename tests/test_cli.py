@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from sgwhiten.cli import (FileFormatError, build_parser, main, read_csv_column,
 from sgwhiten.detector import DB_FLOOR
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(args):
@@ -252,6 +254,13 @@ class TestDesign:
             assert rc == 2
             assert key in capsys.readouterr().err
 
+    def test_neither_preset_nor_noise_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = run(["design", "--M", 17, "--L", 5, "--out", out])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_custom_noise_model_from_config(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"design": {
@@ -451,18 +460,29 @@ class TestFilterCommand:
 
     @pytest.mark.parametrize("case", ["taps-length", "even-M", "non-finite",
                                       "non-numeric", "L-string", "M-bool",
-                                      "ts-string", "ts-infinite", "top-int",
-                                      "top-string"])
+                                      "ts-string", "ts-infinite", "ts-zero",
+                                      "ts-negative", "top-int", "top-string",
+                                      "no-h", "no-noise"])
     def test_bad_filter_file_rejected(self, tmp_path, case, capsys):
         doc = json.loads((GOLDEN / "filter_A.json").read_text())
-        # These files are run with --d, which re-derives the taps from L and ts.
-        flags = ["--d", 1] if case in ("L-string", "ts-string") else []
+        # These files are run with --d, which re-derives the taps from L, ts
+        # and the noise model.
+        flags = ["--d", 1] if case in ("L-string", "ts-string", "ts-zero",
+                                       "no-noise") else []
         if case == "L-string":
             doc["L"] = "5"
         elif case == "ts-string":
             doc["ts"] = "x"
         elif case == "ts-infinite":
             doc["ts"] = math.inf
+        elif case == "ts-zero":
+            doc["ts"] = 0.0
+        elif case == "ts-negative":
+            doc["ts"] = -1.0
+        elif case == "no-h":
+            del doc["h"]
+        elif case == "no-noise":
+            del doc["noise"]
         elif case == "top-int":
             doc = 5
         elif case == "top-string":
@@ -570,8 +590,8 @@ class TestSimulate:
                 == float(np.median(peaks))
 
     def test_one_detection_pass(self, tmp_path, monkeypatch):
-        # One shared bank and residual pass for all six presets, over both
-        # seeds, and no per-preset bank pass.
+        # One shared residual pass for all six presets, over both seeds, and
+        # one bank pass per preset.
         calls = {"bank": 0, "shared": 0, "design": 0}
 
         def counted(key, fn):
@@ -581,14 +601,14 @@ class TestSimulate:
             return wrapper
 
         monkeypatch.setattr(sim, "run_bank", counted("bank", sim.run_bank))
-        monkeypatch.setattr(sim, "residuals_and_rows",
-                            counted("shared", sim.residuals_and_rows))
+        monkeypatch.setattr(sim, "residual_powers",
+                            counted("shared", sim.residual_powers))
         monkeypatch.setattr(fd, "design_preset",
                             counted("design", fd.design_preset))
         rc = run(["simulate", "--scenario", "high-white", "--seeds", 2,
                   "--out", tmp_path])
         assert rc == 0
-        assert calls == {"bank": 0, "shared": 1, "design": 6}
+        assert calls == {"bank": 6, "shared": 1, "design": 6}
 
     def test_config_window_reaches_table(self, tmp_path):
         config = tmp_path / "config.json"
@@ -763,6 +783,24 @@ class TestConfigTypes:
         assert "config error" in err and repr(key) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, code, message", [
+        ("{", 4, "file error"),
+        ("[1]", 2, "config error"),
+        ('{"bogus": {}}', 2, "'bogus'"),
+        ('{"design": 5}', 2, "'design'"),
+    ], ids=["not-json", "top-list", "unknown-section", "section-int"])
+    def test_malformed_config_file(self, tmp_path, capsys, text, code,
+                                   message):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        out = tmp_path / "out"
+        rc = run(["design", *self.COMMANDS["design"], "--M", 17, "--L", 5,
+                  "--config", config, "--out", out])
+        err = capsys.readouterr().err
+        assert rc == code
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, flags, doc", [
         ("design", ["--preset", "E", "--M", 17, "--L", 5, "--d", 1, "--ts", 0.5],
          {"design": {"preset": "E", "M": 17, "L": 5, "d": 1, "ts": 0.5}}),
@@ -839,6 +877,7 @@ class TestEntryPoint:
         result = subprocess.run(
             [sys.executable, "-m", "sgwhiten.cli", "design", "--preset", "A",
              "--M", "17", "--L", "5", "--out", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
             capture_output=True, text=True)
         assert result.returncode == 0
         wng = float(result.stdout.split("WNG=")[1].split()[0])
@@ -847,6 +886,7 @@ class TestEntryPoint:
     def test_help_lists_commands(self):
         result = subprocess.run(
             [sys.executable, "-m", "sgwhiten.cli", "--help"],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
             capture_output=True, text=True)
         assert result.returncode == 0
         for cmd in ("design", "response", "filter", "simulate"):

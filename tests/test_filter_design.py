@@ -109,7 +109,7 @@ class TestSolvers:
     def test_extract_d0_is_row0(self):
         psi = fd.build_vandermonde(7, 3)
         h_matrix = fd.solve_weighted_ls(np.eye(7), psi)
-        taps = fd.extract_coefficients(h_matrix, fd.derivative_operator(3, 0), 0,
+        taps = fd.extract_coefficients(h_matrix, fd.derivative_operator(3, 0),
                                        fd.moment_vector(3))
         assert np.allclose(taps, h_matrix[0], atol=1e-15)
 
@@ -123,7 +123,7 @@ class TestSolvers:
         mu = fd.moment_vector(3)
         row = mu @ deriv @ h_matrix
         assert np.allclose(row, CLASSIC_DERIV_ROW_5_3, atol=1e-12)
-        taps = fd.extract_coefficients(h_matrix, deriv, 1, mu)
+        taps = fd.extract_coefficients(h_matrix, deriv, mu)
         assert np.allclose(taps, CLASSIC_DERIV_ROW_5_3[::-1], atol=1e-12)
         # Oracle: filtering x[n] = n must return slope 1 at every center.
         x = np.arange(20.0)
@@ -133,7 +133,7 @@ class TestSolvers:
     def test_extract_second_derivative_is_scaled_row2(self):
         psi = fd.build_vandermonde(7, 3)
         h_matrix = fd.solve_weighted_ls(np.eye(7), psi)
-        taps = fd.extract_coefficients(h_matrix, fd.derivative_operator(3, 2), 2,
+        taps = fd.extract_coefficients(h_matrix, fd.derivative_operator(3, 2),
                                        fd.moment_vector(3))
         assert np.allclose(taps, 2.0 * h_matrix[2][::-1], atol=1e-14)
 
@@ -153,7 +153,7 @@ class TestEquivalence:
         via_kkt = fd.solve_kkt(r, psi, mu)
         via_ls = fd.extract_coefficients(filt.operators.h_matrix,
                                          fd.derivative_operator(filt.spec.l, 0),
-                                         0, mu)
+                                         mu)
         scale = np.abs(via_ls).max()
         assert np.abs(via_kkt - via_ls).max() <= 1e-8 * scale
 

@@ -4,19 +4,21 @@ Convolution emits interior (fully overlapped) samples only; no padding is
 ever applied, and the half-window group delay is carried as alignment
 metadata instead.  The bank runs all L analysis rows at once, producing a
 per-sample vector of local monomial coefficient estimates from which a
-polynomial segment can be re-synthesized.  One kernel, ``window_products``,
-serves the bank and streamed chunks (one window's coefficients are its row 0);
-``shared_window_products`` runs several matrices (the detector's residual
-factors) through it in shared passes.  Coefficient rows come from
-``run_bank`` alone, so they never depend on what else a pass holds.
+polynomial segment can be re-synthesized.  One kernel serves the bank,
+streamed chunks and the detector's residual factors: ``window_products``
+runs one matrix, ``StreamingBank`` keeps one matrix's layout across chunks,
+and ``window_power_sums`` runs several matrices in shared passes and keeps
+only each window's sum of squares.  Coefficient rows come from ``run_bank``
+alone, so they never depend on what else a pass holds.
 
 The kernel multiplies copied samples by the matrix with BLAS, in products of
-one shape per matrix (``slab_shape``).  A narrow matrix, such as an L-row
-bank, is laid out as a band (``_band``): one product row is a segment of
-P + M - 1 samples and gives the rows of P = 16 consecutive windows, so each
-window costs (P + M - 1) / P copied samples instead of M.  Every other
-matrix takes one window a product row.  Samples must be finite: a zero of the
-band times NaN is NaN, which would reach the other windows of a segment.
+one shape per matrix (``slab_shape``), through a layout (``_Layout``) built
+once per matrix.  A narrow matrix, such as an L-row bank, is laid out as a
+band: one product row is a segment of P + M - 1 samples and gives the rows
+of P = 16 consecutive windows, so each window costs (P + M - 1) / P copied
+samples instead of M.  Every other matrix takes one window a product row.
+Samples must be finite: a zero of the band times NaN is NaN, which would
+reach the other windows of a segment.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from numpy.lib.stride_tricks import as_strided
 
 # Bytes of segments per copied block, rows per product at most,
 # multiply-adds per product at most (OpenBLAS threads larger products) and
-# bytes of pass outputs shared_window_products holds at once.
+# bytes of pass outputs window_power_sums holds at once.
 BLOCK_BYTES = 1 << 19
 SLAB_ROWS = 64
 PRODUCT_MADDS = 1 << 18
@@ -115,7 +117,7 @@ def slab_shape(m: int, width: int) -> tuple[int, int, int, int]:
     """Windows per product row P, columns per product, rows per product
     (2^k >= 2) and products per block for an M x width matrix.
 
-    A matrix of at most BAND_WIDTH columns is banded (``_band``) with
+    A matrix of at most BAND_WIDTH columns is banded (``_Layout``) with
     P = BAND_WINDOWS while its rows, P + M - 1 samples deep, fit BAND_DEPTH,
     and keeps at least BAND_WIDTH columns; any other matrix has P = 1, one
     window a row.  OpenBLAS 0.3.31 rounds a row differently with the
@@ -136,75 +138,80 @@ def slab_shape(m: int, width: int) -> tuple[int, int, int, int]:
     return p, columns, rows, max(BLOCK_BYTES // (8 * depth * rows), 1)
 
 
-def _band(matrix: np.ndarray, p: int, columns: int) -> np.ndarray:
-    """The (P + M - 1) x columns block-Toeplitz matrix B with
+class _Layout:
+    """An M x width matrix laid out once for the window kernel: its product
+    shape (``slab_shape``), its band and the block segments are copied into.
+    The band is the (P + M - 1) x columns block-Toeplitz matrix B with
     B[t + j, t * width + c] = matrix[j, c], zero elsewhere: a segment
     x[s:s + P + M - 1] times B holds the rows x[s + t:s + t + M] @ matrix,
     t < P, side by side.  With P = 1 it is a row-major copy of the matrix,
     padded with zero columns to ``columns`` (OpenBLAS took 1.7x as long with
     the transposed M = 17 bank)."""
-    m, width = matrix.shape
-    band = np.zeros((p + m - 1, columns))
-    for t in range(p):
-        band[t:t + m, t * width:(t + 1) * width] = matrix
-    return band
 
+    def __init__(self, matrix: np.ndarray):
+        matrix = np.asarray(matrix, dtype=float)
+        m, self.width = matrix.shape
+        self.p, columns, self.rows, self.per_block = slab_shape(m, self.width)
+        self.band = np.zeros((self.p + m - 1, columns))
+        for t in range(self.p):
+            self.band[t:t + m, t * self.width:(t + 1) * self.width] = matrix
+        self.block = np.zeros((0, self.rows, self.p + m - 1))
 
-def _products(x: np.ndarray, band: np.ndarray, p: int, out: np.ndarray,
-              block: np.ndarray) -> np.ndarray:
-    """Rows x[i:i+M] @ matrix for every full window of x, from the matrix's
-    band with P windows a segment, by products of ``out``'s
-    (products, rows, band columns) shape: segments of P + M - 1 samples, P
-    apart, are copied into ``block`` (the last, if x ends inside it, padded
-    with zeros) and each product is written into ``out``, which holds at
-    least all the windows."""
-    depth, rows = band.shape[0], out.shape[1]
-    windows = max(len(x) - depth + p, 0)
-    segments = -(-windows // p)
-    stride = x.strides[0]
-    # Overlapping segments, P apart; the last one may run past x.
-    whole = as_strided(x, (max((len(x) - depth) // p + 1, 0), depth),
-                       (p * stride, stride), writeable=False)
-    flat = block.reshape(-1, depth)
-    for first in range(0, len(out), max(len(block), 1)):
-        lo = first * rows
-        part = whole[lo:lo + len(flat)]
-        flat[:len(part)] = part
-        count = min(len(flat), segments - lo)
-        if len(part) < count:
-            tail = x[(lo + len(part)) * p:]
-            flat[len(part), :len(tail)] = tail
-            flat[len(part), len(tail):] = 0.0
-        used = -(-count // rows)
-        np.matmul(block[:used], band, out=out[first:first + used])
-    return out.reshape(len(out) * rows * p, out.shape[2] // p)[:windows]
+    def out(self, windows: int) -> np.ndarray:
+        """An output buffer of whole products for ``windows`` windows."""
+        return np.empty((-(-windows // (self.p * self.rows)), self.rows,
+                         self.band.shape[1]))
+
+    def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows x[i:i+M] @ matrix for every full window of the finite 1-d x,
+        written into the first products of ``out`` (a fresh ``out(windows)``
+        if None).  Segments of P + M - 1 samples, P apart, are copied into
+        the block (the last, if x ends inside it, padded with zeros) and
+        multiplied by the band in products of one shape, the last one padded
+        with zeros or earlier segments."""
+        p, rows = self.p, self.rows
+        depth, columns = self.band.shape
+        windows = max(len(x) - depth + p, 0)
+        segments = -(-windows // p)
+        products = -(-segments // rows)
+        out = self.out(windows) if out is None else out[:products]
+        size = min(self.per_block, products)
+        if len(self.block) < size:
+            self.block = np.zeros((size, rows, depth))
+        stride = x.strides[0]
+        # Overlapping segments, P apart; the last one may run past x.
+        whole = as_strided(x, (max((len(x) - depth) // p + 1, 0), depth),
+                           (p * stride, stride), writeable=False)
+        flat = self.block[:size].reshape(-1, depth)
+        for first in range(0, products, max(size, 1)):
+            lo = first * rows
+            part = whole[lo:lo + len(flat)]
+            flat[:len(part)] = part
+            count = min(len(flat), segments - lo)
+            if len(part) < count:
+                tail = x[(lo + len(part)) * p:]
+                flat[len(part), :len(tail)] = tail
+                flat[len(part), len(tail):] = 0.0
+            used = -(-count // rows)
+            np.matmul(self.block[:used], self.band, out=out[first:first + used])
+        # Without the zero columns of a narrow matrix.
+        return out.reshape(products * rows * p, columns // p)[:windows, :self.width]
 
 
 def window_products(samples: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Row i is x[i:i+M] @ matrix, for every full window of the samples,
-    which must be 1-d and finite (else ValueError).
-
-    Each product row is one segment of P + M - 1 samples times the matrix's
-    band (``_band``), giving the rows of P consecutive windows; P = 1 for
-    all but narrow matrices (``slab_shape``).  Segments are copied into
-    blocks and multiplied by BLAS in products of one shape, the last one
-    padded with zeros or earlier segments, so a row's bits depend only on
-    its window and the matrix: a zero of the band times a finite sample adds
-    nothing to another window's sum."""
-    x = _checked(samples)
-    matrix = np.asarray(matrix, dtype=float)
-    m, width = matrix.shape
-    p, columns, rows, per_block = slab_shape(m, width)
-    products = -(-max(len(x) - m + 1, 0) // (p * rows))
-    out = _products(x, _band(matrix, p, columns), p,
-                    np.empty((products, rows, columns)),
-                    np.zeros((min(per_block, products), rows, p + m - 1)))
-    return out[:, :width]     # without the zero columns of a narrow matrix
+    which must be 1-d and finite (else ValueError), through the matrix's
+    ``_Layout``.  Its products have one shape, the last one padded with
+    zeros or earlier segments, so a row's bits depend only on its window and
+    the matrix: a zero of the band times a finite sample adds nothing to
+    another window's sum."""
+    return _Layout(matrix)(_checked(samples))
 
 
-def shared_window_products(samples: np.ndarray, matrices):
-    """``window_products`` of the samples through each of several M-row
-    matrices, from as few window passes as fit, in slices of windows.
+def window_power_sums(samples: np.ndarray, matrices) -> list:
+    """For each of several M-row matrices, the sum of squares of each row of
+    the samples' ``window_products`` through it, from as few window passes
+    as fit; [] for no matrix.
 
     Each matrix takes its width rounded up to a multiple of 8 (zero columns)
     and the matrices are packed left to right into passes of at most
@@ -213,23 +220,24 @@ def shared_window_products(samples: np.ndarray, matrices):
     ``window_products`` bands any narrow matrix.  A matrix wider than that
     once rounded runs alone, unpadded.  OpenBLAS 0.3.31 (SkylakeX kernels)
     gives a column the same bits at any 8-aligned place of such a pass, so a
-    matrix's rows do not depend on what it is packed with.  Yields (first
-    window, one row array per matrix) for consecutive slices of whole
-    products of windows whose pass outputs take at most RESIDUAL_BYTES (one
-    product at least).  The arrays are views into buffers that every slice
-    reuses, so they hold their rows only until the next slice is asked for.
-    ValueError unless the samples are 1-d and finite.
+    matrix's sums do not depend on what it is packed with.  The passes run
+    over consecutive slices of whole products of windows whose outputs take
+    at most RESIDUAL_BYTES (one product at least), into buffers that every
+    slice reuses, so what is held beyond the sums does not grow with the
+    input.  ValueError unless the samples are 1-d and finite.
     """
     x = _checked(samples)
     matrices = [np.asarray(matrix, dtype=float) for matrix in matrices]
+    if not matrices:
+        return []
     m = matrices[0].shape[0]
     limit = PRODUCT_MADDS // (m * SLAB_ROWS)
-    passes = []                 # (matrix, [(matrix index, first column)])
+    passes = []                 # (layout, [(matrix index, first column)])
     packs = []                  # [columns, members] of the packed passes
     for i, matrix in enumerate(matrices):
         padded = -(-matrix.shape[1] // 8) * 8
         if padded > limit:
-            passes.append((matrix, [(i, 0)]))
+            passes.append((_Layout(matrix), [(i, 0)]))
             continue
         if not packs or packs[-1][0] + padded > limit:
             packs.append([0, []])
@@ -239,29 +247,23 @@ def shared_window_products(samples: np.ndarray, matrices):
         stacked = np.zeros((m, columns))
         for i, first in members:
             stacked[:, first:first + matrices[i].shape[1]] = matrices[i]
-        passes.append((stacked, members))
+        passes.append((_Layout(stacked), members))
     windows = max(len(x) - m + 1, 0)
-    shapes = [slab_shape(m, matrix.shape[1]) for matrix, _ in passes]
     # Product heights are powers of two, so the tallest is a multiple of all.
-    tallest = max(p * rows for p, _, rows, _ in shapes)
-    held = max(sum(matrix.shape[1] for matrix, _ in passes), 1)
+    tallest = max(layout.p * layout.rows for layout, _ in passes)
+    held = max(sum(layout.width for layout, _ in passes), 1)
     step = max(RESIDUAL_BYTES // (8 * held * tallest), 1) * tallest
-    runs = []                   # (band, P, members, out, block) per pass
-    for (matrix, members), (p, columns, rows, per_block) in zip(passes, shapes):
-        products = -(-min(step, windows) // (p * rows))
-        runs.append((_band(matrix, p, columns), p, members,
-                     np.empty((products, rows, columns)),
-                     np.zeros((min(per_block, products), rows, p + m - 1))))
+    outs = [layout.out(min(step, windows)) for layout, _ in passes]
+    sums = [np.empty(windows) for _ in matrices]
     for start in range(0, windows, step):
         part = x[start:start + step + m - 1]
-        count = min(step, windows - start)
-        outs = [None] * len(matrices)
-        for band, p, members, out, block in runs:
-            got = _products(part, band, p,
-                            out[:-(-count // (p * out.shape[1]))], block)
+        for (layout, members), out in zip(passes, outs):
+            rows = layout(part, out)
             for i, first in members:
-                outs[i] = got[:, first:first + matrices[i].shape[1]]
-        yield start, outs
+                got = rows[:, first:first + matrices[i].shape[1]]
+                np.einsum("nk,nk->n", got, got,
+                          out=sums[i][start:start + len(got)])
+    return sums
 
 
 def synthesize(alpha: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -290,17 +292,19 @@ def run_bank(x: SampleSequence, h_matrix: np.ndarray) -> FeatureSeries:
 class StreamingBank:
     """Chunked run_bank that keeps the last M - 1 samples between pushes; the
     rows of all pushes equal the batch run bit for bit, however it is split.
-    A chunk that is not 1-d and finite raises ValueError and is not kept."""
+    The matrix is laid out for the window kernel once, on construction.  A
+    chunk that is not 1-d and finite raises ValueError and is not kept."""
 
     def __init__(self, h_matrix: np.ndarray):
         self.h_matrix = np.asarray(h_matrix, dtype=float)
+        self._layout = _Layout(self.h_matrix.T)
         self.reset()
 
     def push(self, samples) -> np.ndarray:
         """Append a scalar or 1-d chunk; return the (k, L) rows, k >= 0,
         that ``run_bank`` gives for the kept samples plus the chunk."""
         x = np.concatenate([self.tail, np.atleast_1d(np.asarray(samples, float))])
-        rows = window_products(x, self.h_matrix.T)
+        rows = self._layout(_checked(x))
         self.tail = x[max(len(x) - self.h_matrix.shape[1] + 1, 0):].copy()
         return rows
 

@@ -242,9 +242,10 @@ def write_filter_file(filt: fd.DesignedFilter, path: Path) -> None:
 
 
 def load_filter_file(path: str | Path) -> dict:
-    """The artifact as a dict with ``h`` as an array; FileFormatError unless
-    it is a JSON object whose taps, integers, ``ts`` and ``label`` are valid.
-    A label names output files, so it is a string without a path separator."""
+    """The artifact as a dict, ``h`` an array and a present ``noise`` a
+    ``NoiseModel``; FileFormatError unless it is a JSON object whose taps,
+    ``label`` and ``DesignSpec`` of M, L, d, ts and noise are valid.  A
+    label names output files, so it is a string without a path separator."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -264,16 +265,20 @@ def load_filter_file(path: str | Path) -> dict:
         if type(doc[key]) is not int:
             raise FileFormatError(f"filter file {path}: {key}={doc[key]!r} "
                                   "is not an integer")
-    if "ts" in doc and not (_IS_JSON["number"](doc["ts"])
-                            and 0 < doc["ts"] < math.inf):
+    if "ts" in doc and not _IS_JSON["number"](doc["ts"]):
         raise FileFormatError(f"filter file {path}: ts={doc['ts']!r} is not a "
-                              "positive finite number")
+                              "number")
     label = doc.setdefault("label", "custom")
     if type(label) is not str or "/" in label or "\\" in label:
         raise FileFormatError(f"filter file {path}: label={label!r} is not a "
                               "string without path separators")
-    if m % 2 == 0:
-        raise FileFormatError(f"filter file {path}: M={m!r} is not an odd integer")
+    try:
+        if "noise" in doc:
+            doc["noise"] = nm.NoiseModel.from_dict(doc["noise"])
+        fd.DesignSpec(m=m, l=doc["L"], d=doc["d"], ts=doc.get("ts", 1.0),
+                      noise=doc.get("noise", nm.NoiseModel.white()))
+    except ValueError as exc:
+        raise FileFormatError(f"filter file {path}: {exc}") from exc
     if h.shape != (m,):
         raise FileFormatError(f"filter file {path}: {h.size} taps for M={m}")
     if not np.all(np.isfinite(h)):
@@ -342,9 +347,8 @@ def cmd_filter(args, config) -> int:
         if "noise" not in doc:
             raise FileFormatError(
                 "filter file carries no noise model; cannot re-derive taps")
-        noise = nm.NoiseModel.from_dict(doc["noise"])
         filt = fd.design(fd.DesignSpec(m=doc["M"], l=doc["L"], d=args.d,
-                                       ts=doc.get("ts", 1.0), noise=noise),
+                                       ts=doc.get("ts", 1.0), noise=doc["noise"]),
                          label=doc["label"])
         taps = filt.h
     x = read_csv_column(Path(args.input), "x")

@@ -33,9 +33,9 @@ where the metric makes the quadratic column nearly collinear with the others
 D <= Z, so every event is also a Z crossing.  The residual is the sum of
 squares of M - L FIR outputs, through the columns of a factor V of the
 residual form, V V' = W_s - W_s psi G^-1 psi' W_s.  ``residual_powers``
-gets the residuals of several filters from one shared window pass
-(``analysis_bank.shared_window_products``), in which each V is padded with
-zero columns to a multiple of 8 where that fits; ``residual_power`` is its
+gets the residuals of several filters from shared window passes
+(``analysis_bank.window_power_sums``), in which each V is padded with zero
+columns to a multiple of 8 where that fits; ``residual_power`` is its
 one-filter case, so a residual has the same bits alone or shared.  The
 coefficient rows come from ``analysis_bank.run_bank`` alone.
 
@@ -64,7 +64,7 @@ import numbers
 
 import numpy as np
 
-from .analysis_bank import FeatureSeries, shared_window_products
+from .analysis_bank import FeatureSeries, window_power_sums
 from .errors import NotPositiveDefiniteError
 
 DEFAULT_EPSILON = 1e-3
@@ -262,31 +262,24 @@ def build_ortho_transform(psi: np.ndarray, weight: np.ndarray) -> OrthoTransform
                           psi=np.array(psi, dtype=float))
 
 
-def _window_count(x: np.ndarray, m: int) -> int:
-    if len(x) < m:
-        raise ValueError(f"input length {len(x)} is shorter than the window {m}")
-    return len(x) - m + 1
-
-
 def residual_powers(samples: np.ndarray, transforms) -> list:
     """For each transform, the whitened residual power e' W_s e of the
     polynomial fit to every full window of the samples, aligned with the
     bank's feature series over the same samples: the sum of squares of the
-    window's M - L outputs through the transform's residual factor.
+    window's M - L outputs through the transform's residual factor; [] for
+    no transform.
 
-    All factors go through shared window passes
-    (``shared_window_products``) over bounded slices of windows, so what is
-    held beyond the results does not grow with the input.  A power depends
-    only on its window and its own factor, so each equals that transform's
-    ``residual_power`` alone.
+    All factors go through shared window passes (``window_power_sums``) over
+    bounded slices of windows, so what is held beyond the results does not
+    grow with the input.  A power depends only on its window and its own
+    factor, so each equals that transform's ``residual_power`` alone.
     """
     x = np.asarray(samples, dtype=float)
     factors = [transform.residual_factor for transform in transforms]
-    powers = [np.empty(_window_count(x, factors[0].shape[0])) for _ in factors]
-    for first, outs in shared_window_products(x, factors):
-        for power, out in zip(powers, outs):
-            np.einsum("nk,nk->n", out, out, out=power[first:first + len(out)])
-    return powers
+    if factors and len(x) < len(factors[0]):
+        raise ValueError(f"input length {len(x)} is shorter than the window "
+                         f"{len(factors[0])}")
+    return window_power_sums(x, factors)
 
 
 def residual_power(samples: np.ndarray, transform: OrthoTransform) -> np.ndarray:
@@ -384,21 +377,18 @@ def detection_statistics(coeffs: np.ndarray, transform: OrthoTransform,
 
 
 def build_reports(z: np.ndarray, z_db: np.ndarray, decision_db: np.ndarray,
-                  offset: int, gamma_db: float = DEFAULT_GAMMA_DB,
-                  pulse_extents=None,
-                  half_window: int | None = None) -> list[DetectionReport]:
+                  offset: int, gamma_db: float, pulse_extents,
+                  half_window: int) -> list[DetectionReport]:
     """Threshold D (``threshold_detect``) and assemble one report per series
     of a stack (traces, samples) whose first rows are all at absolute sample
     ``offset``.
 
-    ``pulse_extents`` (with ``half_window``) adds per-pulse peak SNR values
-    of Z for ground-truth supports shared by the series.  ``gamma_db`` must
-    be finite.
+    ``pulse_extents``, unless None, adds per-pulse peak SNR values of Z for
+    ground-truth supports shared by the series, each widened by
+    ``half_window``.  ``gamma_db`` must be finite.
     """
     peaks = [()] * len(z)
     if pulse_extents is not None:
-        if half_window is None:
-            raise ValueError("half_window is required alongside pulse_extents")
         columns = peak_snr(z_db, pulse_extents, offset, half_window)
         if columns:
             peaks = list(zip(*(column.tolist() for column in columns)))

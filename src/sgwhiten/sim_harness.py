@@ -425,8 +425,7 @@ def _detected_kinds(report: DetectionReport, trace: ScenarioTrace,
             < bisect_left(events, p.stop + half)}
 
 
-def _medium_peaks(filt: fd.DesignedFilter, traces, gap: int,
-                  epsilon: float = DEFAULT_EPSILON):
+def _medium_peaks(filt: fd.DesignedFilter, traces, gap: int):
     """Medium-pulse Z peaks (dB) of ``traces`` as a function of the pulse
     amplitude, one per trace.
 
@@ -448,7 +447,7 @@ def _medium_peaks(filt: fd.DesignedFilter, traces, gap: int,
         x = _end_to_end(_compose(parts.values()), m)
         features = run_bank(SampleSequence(values=x), filt.operators.h_matrix)
         z = compute_statistic(_by_trace(features.coeffs, len(traces), m),
-                              filt.transform, epsilon=epsilon)
+                              filt.transform)
         return to_decibels(z).max(axis=1)
 
     return peaks
@@ -456,8 +455,7 @@ def _medium_peaks(filt: fd.DesignedFilter, traces, gap: int,
 
 def calibrate_amplitude(target_db: float = 28.5, tol_db: float = 1.0,
                         seeds=range(20), m: int = 17, l: int = 5,
-                        gap: int | None = None,
-                        epsilon: float = DEFAULT_EPSILON) -> float:
+                        gap: int | None = None) -> float:
     """Pulse amplitude that puts the plain preset's low-white medium-pulse
     peak SNR (median over seeds) at the target level.
 
@@ -476,7 +474,7 @@ def calibrate_amplitude(target_db: float = 28.5, tol_db: float = 1.0,
         gap = 3 * m
     peaks = _medium_peaks(fd.design_preset("A", m=m, l=l, d=0),
                           [build_trace("low-white", seed, gap=gap)
-                           for seed in seeds], gap, epsilon)
+                           for seed in seeds], gap)
 
     def median_peak(amplitude: float) -> float:
         return float(np.median(peaks(amplitude)))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sgwhiten as sg
+from sgwhiten import analysis_bank
 from sgwhiten.analysis_bank import (SampleSequence, StreamingBank, convolve,
                                     run_bank, slab_shape, synthesize,
                                     window_products)
@@ -263,6 +264,20 @@ class TestStreaming:
             stream.push(float(s))
         stream.reset()
         assert stream.push(0.0).shape == (0, 5)
+
+    def test_lays_its_matrix_out_once(self, plain, monkeypatch):
+        # The layout is built with the stream, not again for each push.
+        shapes = []
+
+        def counted(m, width):
+            shapes.append((m, width))
+            return slab_shape(m, width)
+
+        monkeypatch.setattr(analysis_bank, "slab_shape", counted)
+        stream = StreamingBank(plain.operators.h_matrix)
+        for s in range(100):
+            stream.push(float(s))
+        assert shapes == [(17, 5)]
 
     def test_rejects_two_dimensional_chunk(self, plain):
         with pytest.raises(ValueError):

@@ -139,8 +139,8 @@ def packings(draw):
 
 # Why a shared pass can differ from a filter's own pass.
 PLACE_ASSUMPTION = (
-    "shared_window_products assumes the BLAS gives a column the same bits at "
-    "any 8-aligned place of a pass of 64-window products, as OpenBLAS 0.3.31 "
+    "window_power_sums assumes the BLAS gives a column the same bits at any "
+    "8-aligned place of a pass of 64-window products, as OpenBLAS 0.3.31 "
     "does with its SkylakeX kernels; this BLAS does not, so simulate's "
     "residuals and D would no longer equal residual_power's of each filter "
     "alone")

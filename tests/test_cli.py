@@ -462,7 +462,10 @@ class TestFilterCommand:
                                       "non-numeric", "L-string", "M-bool",
                                       "ts-string", "ts-infinite", "ts-zero",
                                       "ts-negative", "top-int", "top-string",
-                                      "no-h", "no-noise"])
+                                      "no-h", "no-noise", "L-zero",
+                                      "L-above-M", "d-negative",
+                                      "d-not-below-L", "noise-unknown-kind",
+                                      "noise-not-object"])
     def test_bad_filter_file_rejected(self, tmp_path, case, capsys):
         doc = json.loads((GOLDEN / "filter_A.json").read_text())
         # These files are run with --d, which re-derives the taps from L, ts
@@ -483,6 +486,18 @@ class TestFilterCommand:
             del doc["h"]
         elif case == "no-noise":
             del doc["noise"]
+        elif case == "L-zero":
+            doc["L"] = 0
+        elif case == "L-above-M":
+            doc["L"] = 99
+        elif case == "d-negative":
+            doc["d"] = -1
+        elif case == "d-not-below-L":
+            doc["d"] = doc["L"]
+        elif case == "noise-unknown-kind":
+            doc["noise"] = {"kind": "bogus"}
+        elif case == "noise-not-object":
+            doc["noise"] = 5
         elif case == "top-int":
             doc = 5
         elif case == "top-string":

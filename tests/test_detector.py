@@ -6,11 +6,12 @@ import pytest
 import sgwhiten as sg
 from sgwhiten.analysis_bank import (BLOCK_BYTES, RESIDUAL_BYTES, SLAB_ROWS,
                                     FeatureSeries, SampleSequence, run_bank,
-                                    window_products)
+                                    window_power_sums, window_products)
 from sgwhiten.detector import (DEFAULT_MASKS, HypothesisMask,
                                build_ortho_transform,
                                compute_statistic, detect, peak_snr,
-                               residual_power, threshold_detect, to_decibels)
+                               residual_power, residual_powers,
+                               threshold_detect, to_decibels)
 from sgwhiten.errors import NotPositiveDefiniteError
 
 # Regression value computed once from a deterministic noise-free run: a
@@ -261,6 +262,10 @@ class TestNoiseCorrection:
         x[200] = bad
         with pytest.raises(ValueError, match="NaN or infinity"):
             residual_power(x, transforms["A"])
+
+    def test_no_transform_gives_no_residual(self):
+        assert residual_powers(np.zeros(40), []) == []
+        assert window_power_sums(np.zeros(40), []) == []
 
     def test_exact_fit_has_no_residual(self):
         tr = build_ortho_transform(sg.build_vandermonde(5, 5), np.eye(5))

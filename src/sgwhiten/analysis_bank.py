@@ -42,6 +42,16 @@ BAND_WIDTH = 8
 BAND_DEPTH = 384
 
 
+def _freeze(record, *names, dtype=float) -> None:
+    """Set each named field of a frozen record to a read-only view of it as
+    an array of ``dtype``: the record cannot write to it, and the caller's
+    own array stays writable."""
+    for name in names:
+        view = np.asarray(getattr(record, name), dtype=dtype).view()
+        view.setflags(write=False)
+        object.__setattr__(record, name, view)
+
+
 def _checked(samples) -> np.ndarray:
     """The samples as a 1-d float array; ValueError unless they are 1-d and
     all finite."""
@@ -61,9 +71,8 @@ class SampleSequence:
     start: int = 0
 
     def __post_init__(self) -> None:
-        vals = _checked(self.values)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        _freeze(self, "values")
+        _checked(self.values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -81,11 +90,9 @@ class FeatureSeries:
     offset: int
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.coeffs, dtype=float)
-        if arr.ndim != 2:
+        _freeze(self, "coeffs")
+        if self.coeffs.ndim != 2:
             raise ValueError("feature series must be 2-d (samples x L)")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
 
     def __len__(self) -> int:
         return len(self.coeffs)

@@ -32,7 +32,8 @@ where the metric makes the quadratic column nearly collinear with the others
 (about 724 for the wide-band preset F at M = 17, 1.2-7.7 for the rest).
 D <= Z, so every event is also a Z crossing.  The residual is the sum of
 squares of M - L FIR outputs, through the columns of a factor V of the
-residual form, V V' = W_s - W_s psi G^-1 psi' W_s.  ``residual_powers``
+residual form, V V' = W_s - W_s psi G^-1 psi' W_s, built from one Cholesky
+factor of W_s and one QR without forming the form.  ``residual_powers``
 gets the residuals of several filters from shared window passes
 (``analysis_bank.window_power_sums``), in which each V is padded with zero
 columns to a multiple of 8 where that fits; ``residual_power`` is its
@@ -64,7 +65,7 @@ import numbers
 
 import numpy as np
 
-from .analysis_bank import FeatureSeries, window_power_sums
+from .analysis_bank import FeatureSeries, _freeze, window_power_sums
 from .errors import NotPositiveDefiniteError
 
 DEFAULT_EPSILON = 1e-3
@@ -165,10 +166,7 @@ class OrthoTransform:
                          compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("u", "w_scaled", "psi"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, "u", "w_scaled", "psi")
 
     @property
     def order(self) -> int:
@@ -201,16 +199,20 @@ class OrthoTransform:
         """M x (M - L) factor V of the residual form
         Q = W_s - W_s psi G^-1 psi' W_s = V V', so that |V' x|^2 is the
         whitened residual power of the fit to window x.  Built on first use:
-        the Z statistic alone does not need it."""
-        # Q is formed in the basis scaled to unit column maxima: the same
-        # projection, with a normal matrix far better conditioned at large M.
-        basis = self.psi / np.abs(self.psi).max(axis=0)
-        wb = self.w_scaled @ basis
-        q = self.w_scaled - wb @ np.linalg.solve(basis.T @ wb, wb.T)
-        # Q psi = 0, so Q has rank M - L: drop its L smallest eigenpairs.
-        values, vectors = np.linalg.eigh(0.5 * (q + q.T))
-        keep = slice(self.order, None)
-        factor = vectors[:, keep] * np.sqrt(np.maximum(values[keep], 0.0))
+        the Z statistic alone does not need it.
+
+        With W_s = C C' (Cholesky) and C' psi = [Q1 Q2] [R; 0] (complete
+        QR), Q = C (I - Q1 Q1') C' = C Q2 Q2' C', so V = C Q2: its columns
+        span the whitened complement of the basis, and Q is never formed.
+        Raises NotPositiveDefiniteError when W_s has no Cholesky factor."""
+        try:
+            lower = np.linalg.cholesky(self.w_scaled)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefiniteError(
+                "the weight matrix is not positive definite; the residual "
+                "form has no factor") from exc
+        q = np.linalg.qr(lower.T @ self.psi, mode="complete").Q
+        factor = lower @ q[:, self.order:]
         factor.setflags(write=False)
         return factor
 
@@ -231,10 +233,7 @@ class DetectionReport:
     peak_snr_db: tuple = ()       # per-pulse peaks of Z, set when ground truth known
 
     def __post_init__(self) -> None:
-        for name in ("z", "z_db", "decision_db", "events"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, "z", "z_db", "decision_db", "events", dtype=None)
 
 
 def build_ortho_transform(psi: np.ndarray, weight: np.ndarray) -> OrthoTransform:

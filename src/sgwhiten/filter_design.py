@@ -35,6 +35,7 @@ import math
 import numpy as np
 
 from . import noise_models as nm
+from .analysis_bank import _freeze
 from .detector import OrthoTransform, build_ortho_transform
 from .errors import IllConditionedError
 
@@ -92,10 +93,7 @@ class RegressionOperators:
     mu: np.ndarray        # L moment constraints [1, 0, ...]
 
     def __post_init__(self) -> None:
-        for name in ("psi", "h_matrix", "mu"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, "psi", "h_matrix", "mu")
 
 
 @dataclass(frozen=True)
@@ -110,9 +108,7 @@ class DesignedFilter:
     label: str
 
     def __post_init__(self) -> None:
-        taps = np.asarray(self.h, dtype=float)
-        taps.setflags(write=False)
-        object.__setattr__(self, "h", taps)
+        _freeze(self, "h")
 
     @property
     def half_length(self) -> int:

@@ -31,6 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .analysis_bank import _freeze
 from .errors import IllConditionedError
 
 # Residual bound for invert_to_weight: ||R W - I||_inf <= RESIDUAL_TOL * M.
@@ -144,9 +145,8 @@ class AutocorrSequence:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        _freeze(self, "values")
+        vals = self.values
         if vals.ndim != 1 or not len(vals):
             raise ValueError("values must be a 1-d sequence of lags 0..kmax")
         if vals[0] <= 0:
@@ -177,7 +177,8 @@ class WeightMatrix:
     condition: float | None = None
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.matrix, dtype=float)
+        _freeze(self, "matrix")
+        w = self.matrix
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("weight matrix must be square")
         scale = np.abs(w).max()
@@ -195,8 +196,6 @@ class WeightMatrix:
                                    math.inf if low == 0.0 else float(diag.max() / low))
         elif self.condition is None:
             raise ValueError("inverse-toeplitz weights need their source's condition number")
-        w.setflags(write=False)
-        object.__setattr__(self, "matrix", w)
 
 
 def wideband_autocorr(omega_c: float, omega_d: float, kmax: int) -> AutocorrSequence:

@@ -45,7 +45,7 @@ import math
 import numpy as np
 
 from . import filter_design as fd
-from .analysis_bank import SampleSequence, run_bank
+from .analysis_bank import SampleSequence, _freeze, run_bank
 from .detector import (DEFAULT_EPSILON, DEFAULT_GAMMA_DB, DEFAULT_MASKS,
                        DetectionReport, HypothesisMask, build_reports,
                        compute_statistic, detection_statistics,
@@ -96,9 +96,7 @@ class ScenarioTrace:
     amplitude: float
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.x, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "x", arr)
+        _freeze(self, "x")
 
     def extents(self, kinds=None) -> list[tuple[int, int]]:
         if kinds is None:
@@ -367,8 +365,6 @@ def run_experiment(scenarios=SCENARIOS, labels=fd.PRESET_LABELS, m: int = 17,
     memory does not grow with the number of seeds.  Raises ValueError when
     there is no scenario or no seed.
     """
-    if isinstance(scenarios, str):
-        scenarios = (scenarios,)
     scenarios, seeds = tuple(scenarios), tuple(seeds)
     if not scenarios or not seeds:
         raise ValueError("the experiment needs at least one scenario and one seed")

@@ -64,6 +64,15 @@ class TestSampleSequence:
         with pytest.raises(ValueError):
             SampleSequence(values=np.array([1.0, np.inf]))
 
+    def test_rejects_two_dimensions(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            SampleSequence(values=np.zeros((4, 2)))
+
+
+def test_feature_series_rejects_one_dimension():
+    with pytest.raises(ValueError, match="2-d"):
+        sg.FeatureSeries(coeffs=np.zeros(5), offset=0)
+
 
 class TestConvolve:
     def test_constant_in_constant_out(self, plain):
@@ -152,6 +161,10 @@ class TestSynthesize:
         back = synthesize(one_window(window, plain.operators.h_matrix),
                           plain.operators.psi)
         assert np.abs(back - window).max() <= 1e-9 * max(np.abs(window).max(), 1)
+
+    def test_rejects_vector_of_other_length(self, plain):
+        with pytest.raises(ValueError, match="does not match"):
+            synthesize(np.zeros(4), plain.operators.psi)
 
 
 class TestRunBank:

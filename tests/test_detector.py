@@ -63,6 +63,16 @@ class TestOrthoTransform:
         with pytest.raises(NotPositiveDefiniteError):
             build_ortho_transform(psi, -np.eye(5))
 
+    def test_indefinite_weight_has_no_residual_factor(self):
+        # psi' W psi stays positive definite, so the transform and Z exist,
+        # but the residual form of an indefinite W has no real factor.
+        weight = np.eye(17)
+        weight[8, 8] = -0.05
+        tr = build_ortho_transform(sg.build_vandermonde(17, 5), weight)
+        assert compute_statistic(np.ones((3, 5)), tr).shape == (3,)
+        with pytest.raises(NotPositiveDefiniteError):
+            tr.residual_factor
+
 
 class TestStatistic:
     def test_pure_quadratic_hits_guard_floor(self, transforms):
@@ -262,6 +272,10 @@ class TestNoiseCorrection:
         x[200] = bad
         with pytest.raises(ValueError, match="NaN or infinity"):
             residual_power(x, transforms["A"])
+
+    def test_input_shorter_than_the_window_rejected(self, transforms):
+        with pytest.raises(ValueError, match="shorter than the window"):
+            residual_powers(np.zeros(16), [transforms["A"], transforms["F"]])
 
     def test_no_transform_gives_no_residual(self):
         assert residual_powers(np.zeros(40), []) == []

@@ -47,6 +47,10 @@ class TestVandermonde:
         with pytest.raises(ValueError):
             fd.build_vandermonde(4, 2)
 
+    def test_rejects_more_terms_than_samples(self):
+        with pytest.raises(ValueError, match="more monomials than samples"):
+            fd.build_vandermonde(5, 6)
+
 
 class TestDerivativeOperator:
     def test_second_derivative_l3(self):
@@ -192,6 +196,10 @@ class TestDiagnostics:
         omega, _ = fd.frequency_response(np.full(5, 0.2), 2)
         assert np.allclose(omega, [0.0, math.pi], atol=1e-15)
 
+    def test_rejects_grid_of_one_point(self):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            fd.frequency_response(np.full(5, 0.2), 1)
+
 
 class TestFirstNull:
     def test_moving_average(self):
@@ -214,6 +222,10 @@ class TestFirstNull:
     def test_zero_taps_rejected(self):
         with pytest.raises(ValueError):
             fd.first_null_frequency(np.zeros(5))
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            fd.first_null_frequency(np.full(5, 0.2), method="newton")
 
 
 class TestCutoffHeuristic:

@@ -197,6 +197,11 @@ class TestInvertToWeight:
         assert np.abs(r @ w.matrix - np.eye(17)).max() <= 1e-6 * 17
         assert w.condition > 1e6
 
+    @pytest.mark.parametrize("rho", [1.0, -1.0, 1.5])
+    def test_kms_closed_form_needs_rho_inside_unit_interval(self, rho):
+        with pytest.raises(ValueError, match=r"\|rho\| < 1"):
+            nm.kms_tridiagonal_inverse(rho, 5)
+
     def test_residual_failure_raises(self):
         # A numerically singular matrix must be rejected, not patched.
         r = np.ones((6, 6)) + 1e-18 * np.eye(6)
@@ -250,6 +255,36 @@ class TestConditionEstimate:
 
     def test_singular_is_infinite(self):
         assert nm.condition_estimate(np.diag([1.0, 0.0, 2.0])) == math.inf
+
+
+class TestRecordChecks:
+    @pytest.mark.parametrize("values, match", [
+        (np.zeros((2, 2)), "1-d sequence"),
+        (np.zeros(0), "1-d sequence"),
+        (np.array([0.0, 0.0]), "R\\[0\\] must be positive"),
+        (np.array([1.0, 1.5]), "may not exceed R\\[0\\]"),
+    ], ids=["two-d", "empty", "lag-zero", "lag-exceeds"])
+    def test_autocorr_checks(self, values, match):
+        with pytest.raises(ValueError, match=match):
+            nm.AutocorrSequence(values=values)
+
+    @pytest.mark.parametrize("matrix, provenance, condition, match", [
+        (np.eye(3)[:2], "identity", None, "square"),
+        (np.array([[1.0, 0.5], [0.0, 1.0]]), "inverse-toeplitz", 2.0, "symmetric"),
+        (np.eye(3), "dense", None, "unknown provenance"),
+        (np.array([[1.0, 0.5], [0.5, 1.0]]), "diagonal-kernel", None,
+         "exact zeros off-diagonal"),
+        (np.eye(3), "inverse-toeplitz", None, "condition number"),
+    ], ids=["not-square", "not-symmetric", "provenance", "diagonal-with-off",
+            "toeplitz-without-condition"])
+    def test_weight_checks(self, matrix, provenance, condition, match):
+        with pytest.raises(ValueError, match=match):
+            nm.WeightMatrix(matrix=matrix, provenance=provenance,
+                            condition=condition)
+
+    def test_kernel_has_no_autocorrelation(self):
+        with pytest.raises(ValueError, match="no autocorrelation"):
+            nm.autocorrelation(sg.NoiseModel.gaussian_kernel(4.0), 8)
 
 
 class TestNoiseModelSpec:

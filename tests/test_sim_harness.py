@@ -68,6 +68,10 @@ class TestBackground:
         bg = sim.gen_background(4, phase=0.0)
         assert bg[0] == pytest.approx(2.0, abs=1e-15)
 
+    def test_needs_a_generator_or_a_phase(self):
+        with pytest.raises(ValueError, match="generator or an explicit phase"):
+            sim.gen_background(4)
+
     def test_amplitude_bounds(self):
         rng = np.random.default_rng(0)
         bg = sim.gen_background(5000, rng)
@@ -330,6 +334,13 @@ class TestBatchedDetection:
         with pytest.raises(ValueError, match="layout"):
             sim.detect_traces({"A": presets["A"]}, traces)
 
+    def test_rejects_no_filter_or_no_trace(self, presets):
+        traces = [sg.build_trace("low-white", seed=0)]
+        with pytest.raises(ValueError, match="no filters or no traces"):
+            sim.detect_traces({}, traces)
+        with pytest.raises(ValueError, match="no filters or no traces"):
+            sim.detect_traces({"A": presets["A"]}, [])
+
     def test_rejects_filters_of_mixed_window_lengths(self, presets):
         traces = [sg.build_trace("low-white", seed=0)]
         filters = {"A": presets["A"], "B33": fd.design_preset("B", m=33)}
@@ -429,6 +440,11 @@ class TestCalibration:
         got = sg.calibrate_amplitude(target_db=target_db, tol_db=tol_db,
                                      seeds=seeds, m=m, gap=gap)
         assert got == plain_calibration(target_db, tol_db, seeds, m, 5, gap)
+
+    @pytest.mark.parametrize("target_db", [-40.0, 200.0])
+    def test_target_outside_the_bracket_rejected(self, target_db):
+        with pytest.raises(ValueError, match="outside the amplitude bracket"):
+            sg.calibrate_amplitude(target_db=target_db, seeds=(0, 1))
 
     @pytest.mark.parametrize("m,gap", [(17, 51), (17, 5), (33, 99), (33, 30)],
                              ids=["m17", "m17-short-gap", "m33", "m33-short-gap"])

@@ -17,7 +17,9 @@ background ones and C_F, C_B upper-triangular factors of the blocks
     p1 = |C_F a_F|^2 = |U a1|^2        p0 = |C_B a_B|^2 = |U a0|^2
 
 which for the default mask is p1 = G_22 a_2^2.  The factors are kept on the
-transform per mask, so the statistic reads the coefficient columns directly.
+transform per mask, side by side in one L x (|F| + |B|) matrix.  The
+statistic runs over the rows in blocks of at most ``STAT_ROWS``, one product
+with that matrix each, and writes each block straight into its outputs.
 Z, the fitted foreground to background ratio, is the per-pulse peak SNR.  D
 is the detection statistic: its numerator is the foreground power less the
 share that noise alone puts there.  Under the filter's noise model (noise
@@ -59,7 +61,7 @@ stacked or not, and ``threshold_detect`` is the one crossing rule, for Z or D.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 import math
 import numbers
 
@@ -70,6 +72,9 @@ from .errors import NotPositiveDefiniteError
 
 DEFAULT_EPSILON = 1e-3
 DEFAULT_GAMMA_DB = 20.0
+# Coefficient rows per block of the statistic: a block's buffers stay in
+# cache and within glibc's 128 KiB mmap threshold (see README).
+STAT_ROWS = 4096
 
 # Decibel floor applied when serializing; in-memory values may be -inf.
 DB_FLOOR = -300.0
@@ -126,17 +131,18 @@ DEFAULT_MASKS = HypothesisMask()
 
 @dataclass(frozen=True)
 class MaskFactors:
-    """Gram-block factors of one mask: p1 = |a @ foreground|^2 and
-    p0 = |a @ background|^2 for a coefficient row a.
+    """Gram-block factors of one mask side by side: for a coefficient row a,
+    a @ joined = [(C_F a_F)' | (C_B a_B)'], so p1 and p0 are the sums of
+    squares of its first ``split`` = |F| entries and of the rest.
 
-    ``foreground`` is L x |F| and holds C_F' in the rows F (zero elsewhere),
-    so a @ foreground = (C_F a_F)' without gathering the columns; likewise
-    ``background`` for B.  ``share`` is the noise share nu: the noise power
-    in the fitted foreground per unit of residual power.
+    ``joined`` is L x (|F| + |B|), C_F' in the rows F of the first |F|
+    columns and C_B' in the rows B of the others, zero elsewhere.  ``share``
+    is the noise share nu: the noise power in the fitted foreground per unit
+    of residual power.
     """
 
-    foreground: np.ndarray
-    background: np.ndarray
+    joined: np.ndarray
+    split: int
     share: float
 
 
@@ -149,7 +155,6 @@ def _block_factor(u: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """
     factor = np.zeros((u.shape[0], len(keep)))
     factor[keep] = np.linalg.qr(u[:, keep], mode="r").T
-    factor.setflags(write=False)
     return factor
 
 
@@ -189,9 +194,11 @@ class OrthoTransform:
             # With L = M the fit is exact: no residual, and no noise estimate
             # from it.
             share = float(dims / residual_dims) if residual_dims else 0.0
-            self._masks[masks] = MaskFactors(
-                foreground=_block_factor(self.u, fore),
-                background=_block_factor(self.u, back), share=share)
+            joined = np.hstack([_block_factor(self.u, fore),
+                                _block_factor(self.u, back)])
+            joined.setflags(write=False)
+            self._masks[masks] = MaskFactors(joined=joined, split=len(fore),
+                                             share=share)
         return self._masks[masks]
 
     @cached_property
@@ -286,20 +293,77 @@ def residual_power(samples: np.ndarray, transform: OrthoTransform) -> np.ndarray
     return residual_powers(samples, [transform])[0]
 
 
+@cache
+def _lanes(count: int) -> tuple[tuple, tuple]:
+    """The columns that numpy's einsum("ij,ij->i") adds into each of its two
+    lanes on x86-64, where it sums a row without fused multiply-add: the
+    even columns into lane 0 and the odd ones into lane 1, each run of eight
+    columns last pair first.  The lane sums are added at the end."""
+    whole = count - count % 8
+    even = [start + v for start in range(0, whole, 8) for v in (6, 4, 2, 0)]
+    even += range(whole, count, 2)
+    return tuple(even), tuple(j + 1 for j in even if j + 1 < count)
+
+
+def _sum_squares(part: np.ndarray, lanes, out: np.ndarray, spare) -> None:
+    """Row sums of squares of ``part``'s columns into ``out``, lane by lane
+    in ``_lanes`` order: einsum's bits, with one pass over the rows per
+    column where einsum makes one call per row.  ``spare`` is two buffers
+    shaped like ``out``."""
+    for columns, total in zip(lanes, (out, spare[0])):
+        for n, j in enumerate(columns):
+            if n:
+                total += np.square(part[..., j], out=spare[1])
+            else:
+                np.square(part[..., j], out=total)
+    if not lanes[0]:
+        out.fill(0.0)
+    elif lanes[1]:
+        out += spare[0]
+
+
 def _powers(coeffs: np.ndarray, transform: OrthoTransform,
-            masks: HypothesisMask, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Fitted foreground and background powers |C_F a_F|^2, |C_B a_B|^2 per
-    coefficient row, equal to |U a1|^2 and |U a0|^2.  ``coeffs`` is
-    (samples, L) or (traces, samples, L); numpy makes one BLAS product per
-    trace, so a trace's rows do not change when it is stacked with others."""
+            masks: HypothesisMask, epsilon: float):
+    """Foreground power p1 = |C_F a_F|^2 = |U a1|^2 and guarded background
+    power p0 + eps, p0 = |C_B a_B|^2 = |U a0|^2, of coefficient rows,
+    (samples, L) or (traces, samples, L), a block of at most ``STAT_ROWS``
+    rows at a time: a run of one trace's rows, or whole traces where several
+    fit.  Yields each block's index into arrays shaped like the rows with its
+    p1 and p0 + eps, in buffers that the next block reuses.  A row's powers
+    do not depend on its block (see README)."""
     if not 0 < epsilon < math.inf:
         raise ValueError(f"denominator guard epsilon must be positive and "
                          f"finite, got {epsilon!r}")
+    if coeffs.ndim not in (2, 3):
+        raise ValueError(f"coefficient rows must be 2-d or 3-d, got {coeffs.shape}")
     factors = transform.mask_factors(masks)
-    fore = coeffs @ factors.foreground
-    back = coeffs @ factors.background
-    return (np.einsum("...ij,...ij->...i", fore, fore),
-            np.einsum("...ij,...ij->...i", back, back))
+    split, width = factors.split, factors.joined.shape[1]
+    fore, back = _lanes(split), _lanes(width - split)
+    lead = 3 - coeffs.ndim          # 1 for one series, 0 for a stack
+    traces, samples = ((1,) + coeffs.shape[:-1])[-2:]
+    rows = max(min(samples, STAT_ROWS), 1)
+    group = max(min(STAT_ROWS // rows, traces), 1)
+    shape = (group, rows)[lead:]
+    product = np.empty(shape + (width,))
+    p1, p0, *spare = (np.empty(shape) for _ in range(4))
+    for t in range(0, traces, group):
+        for s in range(0, samples, rows):
+            at = (slice(t, t + group), slice(s, s + rows))[lead:]
+            block = coeffs[at]
+            head = tuple(slice(n) for n in block.shape[:-1])
+            if block.shape[-2] == 1:
+                # numpy multiplies a lone row with gemv, which sums in
+                # another order than gemm: pair it with a zero row.
+                block = np.concatenate([block, np.zeros_like(block)], axis=-2)
+                part = np.matmul(block, factors.joined)[..., :1, :]
+            else:
+                part = np.matmul(block, factors.joined, out=product[head])
+            fore_power, back_power = p1[head], p0[head]
+            scratch = [buffer[head] for buffer in spare]
+            _sum_squares(part[..., :split], fore, fore_power, scratch)
+            _sum_squares(part[..., split:], back, back_power, scratch)
+            back_power += epsilon
+            yield at, fore_power, back_power
 
 
 def compute_statistic(features, transform: OrthoTransform,
@@ -313,15 +377,20 @@ def compute_statistic(features, transform: OrthoTransform,
     its series' alone bit for bit.  ``epsilon`` guards the denominator and
     must be positive and finite.
     """
-    p1, p0 = _powers(getattr(features, "coeffs", features), transform, masks,
-                     epsilon)
-    return p1 / (p0 + epsilon)
+    coeffs = np.asarray(getattr(features, "coeffs", features), dtype=float)
+    z = np.empty(coeffs.shape[:-1])
+    for at, p1, denominator in _powers(coeffs, transform, masks, epsilon):
+        np.divide(p1, denominator, out=z[at])
+    return z
 
 
 def to_decibels(z: np.ndarray) -> np.ndarray:
-    """10 log10 of a power ratio; -inf where the ratio is zero."""
+    """10 log10 of a power ratio; -inf where the ratio is zero.  Scales in
+    place, so the result is the only new array."""
     with np.errstate(divide="ignore"):
-        return 10.0 * np.log10(np.asarray(z, dtype=float))
+        decibels = np.log10(np.asarray(z, dtype=float))
+    decibels *= 10.0
+    return decibels
 
 
 def threshold_detect(z_db: np.ndarray, gamma_db: float = DEFAULT_GAMMA_DB,
@@ -364,15 +433,23 @@ def detection_statistics(coeffs: np.ndarray, transform: OrthoTransform,
     """Z, Z in dB and D in dB of coefficient rows, (samples, L) or
     (traces, samples, L), with ``residual`` the ``residual_power`` rows of
     the same windows, shaped like the rows."""
-    p1, p0 = _powers(coeffs, transform, masks, epsilon)
+    coeffs = np.asarray(coeffs, dtype=float)
     residual = np.asarray(residual, dtype=float)
-    if residual.shape != p1.shape:
+    if residual.shape != coeffs.shape[:-1]:
         raise ValueError(f"residual has shape {residual.shape}, features "
-                         f"{p1.shape}; both must cover the same windows")
-    denominator = p0 + epsilon
-    z = p1 / denominator
-    noise = transform.mask_factors(masks).share * residual
-    return z, to_decibels(z), to_decibels(np.maximum(p1 - noise, 0.0) / denominator)
+                         f"{coeffs.shape[:-1]}; both must cover the same windows")
+    share = transform.mask_factors(masks).share
+    z, z_db, decision_db = (np.empty(residual.shape) for _ in range(3))
+    with np.errstate(divide="ignore"):
+        for at, p1, denominator in _powers(coeffs, transform, masks, epsilon):
+            decibels = np.log10(np.divide(p1, denominator, out=z[at]),
+                                out=z_db[at])
+            decibels *= 10.0
+            d = np.multiply(residual[at], share, out=decision_db[at])
+            np.maximum(np.subtract(p1, d, out=d), 0.0, out=d)
+            np.log10(np.divide(d, denominator, out=d), out=d)
+            d *= 10.0
+    return z, z_db, decision_db
 
 
 def build_reports(z: np.ndarray, z_db: np.ndarray, decision_db: np.ndarray,

@@ -65,7 +65,10 @@ class NoiseModel:
             raise ValueError(f"unknown noise model kind {self.kind!r}")
         if not 0 < self.ts < math.inf:
             raise ValueError("sampling period must be positive and finite")
-        missing = [name for name in family.fields if getattr(self, name) in (None, ())]
+        # Not "in (None, ())": a numpy scalar == () is an empty array.
+        missing = [name for name in family.fields
+                   if (value := getattr(self, name)) is None
+                   or (isinstance(value, tuple) and not value)]
         if missing:
             raise ValueError(f"{self.kind} model needs {' and '.join(missing)}")
         # The builders hold the value checks: building lag 0 runs them.

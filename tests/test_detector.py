@@ -1,5 +1,9 @@
 """Orthonormal transform, detection statistic, thresholding, peak extraction."""
 
+import platform
+import tracemalloc
+
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -7,9 +11,10 @@ import sgwhiten as sg
 from sgwhiten.analysis_bank import (BLOCK_BYTES, RESIDUAL_BYTES, SLAB_ROWS,
                                     FeatureSeries, SampleSequence, run_bank,
                                     window_power_sums, window_products)
-from sgwhiten.detector import (DEFAULT_MASKS, HypothesisMask,
+from sgwhiten.detector import (DEFAULT_MASKS, STAT_ROWS, HypothesisMask,
                                build_ortho_transform,
-                               compute_statistic, detect, peak_snr,
+                               compute_statistic, detect,
+                               detection_statistics, peak_snr,
                                residual_power, residual_powers,
                                threshold_detect, to_decibels)
 from sgwhiten.errors import NotPositiveDefiniteError
@@ -165,6 +170,132 @@ class TestStatistic:
         z = compute_statistic(features_from([[0, 2.0, 0, 0, 0]]), transforms["A"],
                               masks=masks)
         assert z[0] > 1e3
+
+
+@st.composite
+def statistic_cases(draw):
+    """A transform of random SPD weight over L = 3-9, a random valid mask,
+    coefficient rows and residuals of a length around the statistic's
+    blocks, one slice of them and a stack of 1-4 equal runs of them."""
+    l = draw(st.integers(3, 9))
+    m = 2 * l + 1 + 2 * draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.normal(size=(m, m))
+    tr = build_ortho_transform(sg.build_vandermonde(m, l), a @ a.T + m * np.eye(m))
+    terms = st.lists(st.integers(0, l - 1), unique=True)
+    masks = HypothesisMask(foreground_keep=tuple(draw(terms.filter(bool))),
+                           background_zero=tuple(draw(terms)))
+    n = draw(st.sampled_from([0, 1, STAT_ROWS - 1, STAT_ROWS + 1,
+                              2 * STAT_ROWS + 1]) | st.integers(0, 2 * STAT_ROWS + 1))
+    scale = 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    coeffs = rng.normal(size=(n, l)) * scale
+    residual = rng.uniform(0.0, 2.0, size=n) * scale[:, 0] ** 2
+    lo = draw(st.integers(0, n))
+    cut = slice(lo, draw(st.integers(lo, n)))
+    length = draw(st.integers(0, n))
+    starts = draw(st.lists(st.integers(0, n - length), min_size=1, max_size=4))
+    return tr, masks, coeffs, residual, cut, length, starts
+
+
+class TestStatisticBlocks:
+    """Z and D are computed in blocks of at most STAT_ROWS rows; a row's
+    values depend only on the row."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(statistic_cases())
+    def test_slices_and_stacks_equal_the_whole_series(self, case):
+        tr, masks, coeffs, residual, cut, length, starts = case
+        whole = detection_statistics(coeffs, tr, residual, masks=masks)
+        assert all(out.shape == residual.shape for out in whole)
+        assert np.array_equal(compute_statistic(coeffs, tr, masks=masks), whole[0])
+        for got, want in zip(detection_statistics(coeffs[cut], tr, residual[cut],
+                                                  masks=masks), whole):
+            assert np.array_equal(got, want[cut])
+        # A stack as the batched pipeline passes it: a view whose traces
+        # are not adjacent in memory.
+        held = np.zeros((len(starts), length + 7, coeffs.shape[1] + 1))
+        held_residual = np.zeros(held.shape[:2])
+        for i, start in enumerate(starts):
+            held[i, :length, :-1] = coeffs[start:start + length]
+            held_residual[i, :length] = residual[start:start + length]
+        stack = held[:, :length, :-1]
+        stats = detection_statistics(stack, tr, held_residual[:, :length],
+                                     masks=masks)
+        assert np.array_equal(compute_statistic(stack, tr, masks=masks), stats[0])
+        for got, want in zip(stats, whole):
+            assert got.shape == (len(starts), length)
+            for row, start in zip(got, starts):
+                assert np.array_equal(row, want[start:start + length])
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="einsum's two-lane order is that of x86-64 builds")
+    @pytest.mark.parametrize("l", [3, 5, 8, 9, 13])
+    def test_powers_keep_einsum_bits(self, l, rng):
+        # The sums of squares take einsum's order, so Z keeps the bits of
+        # einsum over one product, at every column count.
+        m = 2 * l + 3
+        a = rng.normal(size=(m, m))
+        tr = build_ortho_transform(sg.build_vandermonde(m, l), a @ a.T + m * np.eye(m))
+        coeffs = rng.normal(size=(500, l)) * 10.0 ** rng.uniform(-3, 3, size=(500, 1))
+        for masks in (DEFAULT_MASKS, HypothesisMask((0,), ()),
+                      HypothesisMask(tuple(range(l)), tuple(range(l)))):
+            factors = tr.mask_factors(masks)
+            part = coeffs @ factors.joined
+            fore, back = part[:, :factors.split], part[:, factors.split:]
+            want = (np.einsum("ij,ij->i", fore, fore)
+                    / (np.einsum("ij,ij->i", back, back) + 1e-3))
+            assert np.array_equal(compute_statistic(coeffs, tr, masks=masks), want)
+
+    def test_lone_rows_equal_the_whole_series(self, rng):
+        # A one-row block, as at the end of 2 * STAT_ROWS + 1 rows, takes
+        # the bits that the row has in a block of many.
+        filt = sg.design_preset("E", l=9)
+        tr = build_ortho_transform(filt.operators.psi, filt.operators.weight.matrix)
+        masks = HypothesisMask((0,), ())
+        coeffs = rng.normal(size=(2 * STAT_ROWS + 1, 9))
+        whole = compute_statistic(coeffs, tr, masks=masks)
+        rows = compute_statistic(coeffs[:40, None], tr, masks=masks)
+        assert np.array_equal(rows[:, 0], whole[:40])
+        for i in range(40):
+            assert np.array_equal(compute_statistic(coeffs[i:i + 1], tr, masks=masks),
+                                  whole[i:i + 1])
+
+    @pytest.mark.parametrize("shape", [(0, 5), (3, 0, 5), (0, 7, 5)])
+    def test_zero_rows_give_empty_statistics(self, shape, transforms):
+        coeffs = np.zeros(shape)
+        assert compute_statistic(coeffs, transforms["E"]).shape == shape[:-1]
+        for out in detection_statistics(coeffs, transforms["E"],
+                                        np.zeros(shape[:-1])):
+            assert out.shape == shape[:-1]
+
+
+class TestStatisticMemory:
+    """The statistic's outputs are the only memory that grows with the rows:
+    peak traced allocation at most the outputs plus 1 MiB."""
+
+    SLACK = 1 << 20
+
+    @staticmethod
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("shape", [(1 << 16, 5), (16, 383, 5)])
+    def test_peak_is_the_outputs(self, shape, transforms, rng):
+        # Rows as _by_trace passes a stack: traces apart in memory.
+        coeffs = rng.normal(size=shape[:-2] + (shape[-2] + 16, 5))[..., :shape[-2], :]
+        residual = rng.uniform(0.0, 2.0, size=shape[:-1])
+        tr = transforms["E"]
+        tr.mask_factors(DEFAULT_MASKS)
+        output = 8 * residual.size
+        assert self.peak(lambda: compute_statistic(coeffs, tr)) \
+            <= output + self.SLACK
+        assert self.peak(lambda: detection_statistics(coeffs, tr, residual)) \
+            <= 3 * output + self.SLACK
 
 
 class TestGramBlockKernel:

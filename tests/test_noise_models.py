@@ -303,6 +303,28 @@ class TestNoiseModelSpec:
             assert sg.NoiseModel.from_dict(json.loads(json.dumps(model.to_dict()))) \
                 == model
 
+    @pytest.mark.parametrize("build, args", [
+        (sg.NoiseModel.white, (1.0,)),
+        (sg.NoiseModel.gaussian_kernel, (4.4, 2.0)),
+        (sg.NoiseModel.gauss_markov, (4.4,)),
+        (sg.NoiseModel.nyquist, (-1e-6,)),
+        (sg.NoiseModel.wide_band, (0.6884, 2.5)),
+    ])
+    def test_numpy_scalars_build_the_python_float_model(self, build, args):
+        model = build(*args)
+        scalar = build(*(np.float64(arg) for arg in args))
+        assert scalar == model
+        assert scalar.to_dict() == model.to_dict()
+        assert json.dumps(scalar.to_dict()) == json.dumps(model.to_dict())
+        assert np.array_equal(nm.weight_matrix(scalar, 9).matrix,
+                              nm.weight_matrix(model, 9).matrix)
+
+    def test_missing_fields_still_named(self):
+        with pytest.raises(ValueError, match="needs lam"):
+            sg.NoiseModel(kind="gauss-markov")
+        with pytest.raises(ValueError, match="needs poles"):
+            sg.NoiseModel(kind="narrow-band")
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
             sg.NoiseModel.from_dict({"kind": "white", "ts": 1.0, "bogus": 3})

@@ -244,8 +244,8 @@ def per_trace_report(filt, trace, masks=DEFAULT_MASKS, epsilon=DEFAULT_EPSILON,
     tr = build_ortho_transform(filt.operators.psi, filt.operators.weight.matrix)
     feats = run_bank(SampleSequence(values=trace.x), filt.operators.h_matrix)
     factors = tr.mask_factors(masks)
-    fore = feats.coeffs @ factors.foreground
-    back = feats.coeffs @ factors.background
+    part = feats.coeffs @ factors.joined
+    fore, back = part[:, :factors.split], part[:, factors.split:]
     p1 = np.einsum("ij,ij->i", fore, fore)
     p0 = np.einsum("ij,ij->i", back, back)
     # Shared passes run the residual factor padded with zero columns to a

@@ -359,9 +359,9 @@ def _powers(coeffs: np.ndarray, transform: OrthoTransform,
             else:
                 part = np.matmul(block, factors.joined, out=product[head])
             fore_power, back_power = p1[head], p0[head]
-            scratch = [buffer[head] for buffer in spare]
-            _sum_squares(part[..., :split], fore, fore_power, scratch)
-            _sum_squares(part[..., split:], back, back_power, scratch)
+            work = [buffer[head] for buffer in spare]
+            _sum_squares(part[..., :split], fore, fore_power, work)
+            _sum_squares(part[..., split:], back, back_power, work)
             back_power += epsilon
             yield at, fore_power, back_power
 

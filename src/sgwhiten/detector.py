@@ -52,10 +52,10 @@ Crossings of a decibel threshold by D become detection events; with
 ground-truth pulse extents the per-pulse peak of Z can be extracted.
 
 Detection is two steps: ``detection_statistics`` computes Z and D for the
-coefficient rows of one series or of a stack of equal-length series (a
-leading trace axis), and ``build_reports`` thresholds each series and takes its
-peaks.  ``detect`` is the one-series case.  ``compute_statistic`` is Z alone,
-stacked or not, and ``threshold_detect`` is the one crossing rule, for Z or D.
+coefficient rows of one series, 2-d (samples, L), and ``build_reports``
+thresholds each series of a stack (traces, samples) of its outputs and takes
+its peaks.  ``detect`` is the one-series case.  ``compute_statistic`` is Z
+alone, and ``threshold_detect`` is the one crossing rule, for Z or D.
 """
 
 from __future__ import annotations
@@ -325,45 +325,37 @@ def _sum_squares(part: np.ndarray, lanes, out: np.ndarray, spare) -> None:
 def _powers(coeffs: np.ndarray, transform: OrthoTransform,
             masks: HypothesisMask, epsilon: float):
     """Foreground power p1 = |C_F a_F|^2 = |U a1|^2 and guarded background
-    power p0 + eps, p0 = |C_B a_B|^2 = |U a0|^2, of coefficient rows,
-    (samples, L) or (traces, samples, L), a block of at most ``STAT_ROWS``
-    rows at a time: a run of one trace's rows, or whole traces where several
-    fit.  Yields each block's index into arrays shaped like the rows with its
-    p1 and p0 + eps, in buffers that the next block reuses.  A row's powers
-    do not depend on its block (see README)."""
+    power p0 + eps, p0 = |C_B a_B|^2 = |U a0|^2, of coefficient rows
+    (samples, L), a block of at most ``STAT_ROWS`` rows at a time.  Yields
+    each block's row slice with its p1 and p0 + eps, in buffers that the next
+    block reuses.  A row's powers do not depend on its block (see README)."""
     if not 0 < epsilon < math.inf:
         raise ValueError(f"denominator guard epsilon must be positive and "
                          f"finite, got {epsilon!r}")
-    if coeffs.ndim not in (2, 3):
-        raise ValueError(f"coefficient rows must be 2-d or 3-d, got {coeffs.shape}")
+    if coeffs.ndim != 2:
+        raise ValueError(f"coefficient rows must be 2-d, got shape {coeffs.shape}")
     factors = transform.mask_factors(masks)
     split, width = factors.split, factors.joined.shape[1]
     fore, back = _lanes(split), _lanes(width - split)
-    lead = 3 - coeffs.ndim          # 1 for one series, 0 for a stack
-    traces, samples = ((1,) + coeffs.shape[:-1])[-2:]
-    rows = max(min(samples, STAT_ROWS), 1)
-    group = max(min(STAT_ROWS // rows, traces), 1)
-    shape = (group, rows)[lead:]
-    product = np.empty(shape + (width,))
-    p1, p0, *spare = (np.empty(shape) for _ in range(4))
-    for t in range(0, traces, group):
-        for s in range(0, samples, rows):
-            at = (slice(t, t + group), slice(s, s + rows))[lead:]
-            block = coeffs[at]
-            head = tuple(slice(n) for n in block.shape[:-1])
-            if block.shape[-2] == 1:
-                # numpy multiplies a lone row with gemv, which sums in
-                # another order than gemm: pair it with a zero row.
-                block = np.concatenate([block, np.zeros_like(block)], axis=-2)
-                part = np.matmul(block, factors.joined)[..., :1, :]
-            else:
-                part = np.matmul(block, factors.joined, out=product[head])
-            fore_power, back_power = p1[head], p0[head]
-            work = [buffer[head] for buffer in spare]
-            _sum_squares(part[..., :split], fore, fore_power, work)
-            _sum_squares(part[..., split:], back, back_power, work)
-            back_power += epsilon
-            yield at, fore_power, back_power
+    rows = max(min(len(coeffs), STAT_ROWS), 1)
+    product = np.empty((rows, width))
+    p1, p0, *spare = (np.empty(rows) for _ in range(4))
+    for start in range(0, len(coeffs), rows):
+        block = coeffs[start:start + rows]
+        count = len(block)
+        if count == 1:
+            # numpy multiplies a lone row with gemv, which sums in another
+            # order than gemm: pair it with a zero row.
+            block = np.concatenate([block, np.zeros_like(block)])
+            part = np.matmul(block, factors.joined)[:1]
+        else:
+            part = np.matmul(block, factors.joined, out=product[:count])
+        fore_power, back_power = p1[:count], p0[:count]
+        work = [buffer[:count] for buffer in spare]
+        _sum_squares(part[:, :split], fore, fore_power, work)
+        _sum_squares(part[:, split:], back, back_power, work)
+        back_power += epsilon
+        yield slice(start, start + count), fore_power, back_power
 
 
 def compute_statistic(features, transform: OrthoTransform,
@@ -371,10 +363,10 @@ def compute_statistic(features, transform: OrthoTransform,
                       epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
     """Fitted foreground-to-background power ratio Z = p1 / (p0 + eps).
 
-    ``features`` is a ``FeatureSeries`` or its coefficient rows, (samples, L)
-    or stacked (traces, samples, L); Z has the shape of the rows, linear
-    scale (``to_decibels`` gives the dB form).  A stacked trace's Z equals
-    its series' alone bit for bit.  ``epsilon`` guards the denominator and
+    ``features`` is a ``FeatureSeries`` or its coefficient rows (samples, L);
+    Z has one value per row, linear scale (``to_decibels`` gives the dB
+    form), and a row's Z does not depend on the rows around it.  Rows that
+    are not 2-d are a ValueError.  ``epsilon`` guards the denominator and
     must be positive and finite.
     """
     coeffs = np.asarray(getattr(features, "coeffs", features), dtype=float)
@@ -430,9 +422,9 @@ def detection_statistics(coeffs: np.ndarray, transform: OrthoTransform,
                          residual: np.ndarray,
                          masks: HypothesisMask = DEFAULT_MASKS,
                          epsilon: float = DEFAULT_EPSILON):
-    """Z, Z in dB and D in dB of coefficient rows, (samples, L) or
-    (traces, samples, L), with ``residual`` the ``residual_power`` rows of
-    the same windows, shaped like the rows."""
+    """Z, Z in dB and D in dB of coefficient rows (samples, L), with
+    ``residual`` the ``residual_power`` series of the same windows, one
+    value per row.  Rows that are not 2-d are a ValueError."""
     coeffs = np.asarray(coeffs, dtype=float)
     residual = np.asarray(residual, dtype=float)
     if residual.shape != coeffs.shape[:-1]:

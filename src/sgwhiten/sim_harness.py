@@ -21,18 +21,20 @@ the designs, and each filter its detector transform, so repeat runs reuse
 both), builds the (scenario, seed) traces in groups of bounded size, and
 runs all presets over a group in one ``detect_traces`` call: the traces, of
 one length, are laid end to end, one shared window pass gives every
-preset's residual and one bank pass each preset's coefficient rows, and
-the rows whose windows straddle two traces are dropped.  It aggregates a
-scenarios-by-filters matrix of medium-pulse peak SNRs (peaks of the fitted
-ratio Z), in the shape of a standard comparison table.  Detection patterns
-count crossings of the noise-corrected statistic D, which needs the trace
-samples as well as the bank's coefficients (see ``detector``).  Amplitude
-calibration bisects over pulse amplitudes 0.1 to 1000 and reads only the Z
-peak of the medium pulse: it builds each seed's trace once and, per
-bisection step, recomposes only the samples that peak reads, for all seeds
-in one bank pass.  A window's
-bank row depends only on the window (``analysis_bank.window_products``), so
-both give the results of whole traces analysed one at a time, bit for bit.
+preset's residual and one bank pass each preset's coefficient rows, the
+statistics run over those rows, and ``_by_trace``, the one place that knows
+the layout, splits them by trace and drops the rows whose windows straddle
+two traces.  It aggregates a scenarios-by-filters matrix of medium-pulse
+peak SNRs (peaks of the fitted ratio Z), in the shape of a standard
+comparison table.  Detection patterns count crossings of the
+noise-corrected statistic D, which needs the trace samples as well as the
+bank's coefficients (see ``detector``).  Amplitude calibration bisects over
+pulse amplitudes 0.1 to 1000 and reads only the Z peak of the medium pulse:
+it builds each seed's trace once and, per bisection step, recomposes only
+the samples that peak reads, for all seeds in one bank pass.  A window's
+bank row depends only on the window (``analysis_bank.window_products``) and
+its statistics only on the row, so both give the results of whole traces
+analysed one at a time, bit for bit.
 """
 
 from __future__ import annotations
@@ -237,8 +239,11 @@ def _end_to_end(x: np.ndarray, m: int) -> np.ndarray:
 
 def _by_trace(rows: np.ndarray, traces: int, m: int) -> np.ndarray:
     """Split the window rows of an ``_end_to_end`` pass into (traces, n - M + 1,
-    ...), dropping the M - 1 rows whose windows straddle two traces."""
+    ...), dropping the M - 1 rows whose windows straddle two traces; a trace
+    of fewer than M samples, which holds no window, is a ValueError."""
     n = len(rows) // traces
+    if n < m:
+        raise ValueError(f"trace length {n} is shorter than the window {m}")
     return rows.reshape(traces, n, *rows.shape[1:])[:, :n - m + 1]
 
 
@@ -248,16 +253,17 @@ def detect_traces(filters, traces, gamma_db: float = DEFAULT_GAMMA_DB,
     """Full pipeline for filters of one window length M over traces of one
     length and pulse layout: over the traces end to end, one shared window
     pass gives every filter's residual (``residual_powers``) and ``run_bank``
-    each filter's bank rows, the statistics run on the stack, and each trace
-    gets one report per filter.  ``filters`` maps labels to
-    ``DesignedFilter``s; the result maps each label to its reports, in trace
-    order.
+    each filter's bank rows, the statistics run on those rows as they come,
+    and ``_by_trace`` splits them into one report per trace and filter.
+    ``filters`` maps labels to ``DesignedFilter``s; the result maps each
+    label to its reports, in trace order.
 
     Each report equals a run of its filter over its trace alone bit for bit:
     a window's bank row and residual depend only on the window and the
-    filter, and the stacked statistics make each BLAS product with one
-    trace's shape.  Raises ValueError when there is no filter or trace, the
-    filters differ in M, the traces in layout, or a sample is not finite.
+    filter, and a row's statistics only on the row, whatever the row count
+    of the product that makes them (see README).  Raises ValueError when
+    there is no filter or trace, the filters differ in M, the traces in
+    layout, a trace is shorter than M, or a sample is not finite.
     """
     if not filters or not traces:
         raise ValueError("no filters or no traces to detect")
@@ -274,13 +280,13 @@ def detect_traces(filters, traces, gamma_db: float = DEFAULT_GAMMA_DB,
                                            for filt in filters.values()])
     reports = {}
     for (label, filt), residual in zip(filters.items(), residuals):
-        rows = run_bank(x, filt.operators.h_matrix).coeffs
-        stats = detection_statistics(_by_trace(rows, len(traces), m),
-                                     filt.transform,
-                                     _by_trace(residual, len(traces), m),
-                                     masks=masks, epsilon=epsilon)
-        reports[label] = build_reports(*stats, filt.half_length, gamma_db,
-                                       extents, filt.half_length)
+        stats = detection_statistics(run_bank(x, filt.operators.h_matrix).coeffs,
+                                     filt.transform, residual, masks=masks,
+                                     epsilon=epsilon)
+        reports[label] = build_reports(*(_by_trace(series, len(traces), m)
+                                         for series in stats),
+                                       filt.half_length, gamma_db, extents,
+                                       filt.half_length)
     return reports
 
 
@@ -373,10 +379,9 @@ def run_experiment(scenarios=SCENARIOS, labels=fd.PRESET_LABELS, m: int = 17,
     filters = {lab: fd.design_preset(lab, m=m, l=l, d=0) for lab in labels}
     cases = [(scenario, seed) for scenario in scenarios for seed in seeds]
     # Floats a group holds per sample: the trace, its components and their
-    # end-to-end copy; per preset the L bank coefficients, the residual and
-    # three report series; and one preset's foreground and background parts.
+    # end-to-end copy, and per preset L bank rows, a residual and 3 report series.
     num = len(gen_pulse_train(amplitude, gap)[0])
-    size = max(GROUP_BYTES // (8 * num * ((l + 4) * len(labels) + 2 * l + 16)), 1)
+    size = max(GROUP_BYTES // (8 * num * ((l + 4) * len(labels) + 16)), 1)
 
     half = (m - 1) // 2
     medium = PULSE_KINDS.index(MEDIUM)
@@ -395,6 +400,9 @@ def run_experiment(scenarios=SCENARIOS, labels=fd.PRESET_LABELS, m: int = 17,
                 runs[lab].append((report.peak_snr_db[medium],
                                   _detected_kinds(report, trace, half),
                                   len(report.events) > 0))
+        # Release the group, whose reports view its whole statistic arrays,
+        # before the next one is built.
+        del traces, reports, trace, report
 
     cells = {}
     for lab in labels:
@@ -441,10 +449,9 @@ def _medium_peaks(filt: fd.DesignedFilter, traces, gap: int):
         # Only the pulses scale with the amplitude; they stay the first part.
         parts["pulses"] = gen_pulse_train(amplitude, gap)[0][read]
         x = _end_to_end(_compose(parts.values()), m)
-        features = run_bank(SampleSequence(values=x), filt.operators.h_matrix)
-        z = compute_statistic(_by_trace(features.coeffs, len(traces), m),
-                              filt.transform)
-        return to_decibels(z).max(axis=1)
+        z = compute_statistic(run_bank(SampleSequence(values=x),
+                                       filt.operators.h_matrix), filt.transform)
+        return _by_trace(to_decibels(z), len(traces), m).max(axis=1)
 
     return peaks
 

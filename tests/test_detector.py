@@ -1,6 +1,7 @@
 """Orthonormal transform, detection statistic, thresholding, peak extraction."""
 
 import platform
+import re
 import tracemalloc
 
 from hypothesis import given, settings, strategies as st
@@ -151,20 +152,6 @@ class TestStatistic:
             rel = np.abs(z1[strong] - z0[strong]) / z0[strong]
             assert rel.max() <= 0.01
 
-    @pytest.mark.parametrize("label", sg.PRESET_LABELS)
-    def test_stacked_rows_equal_each_series_alone(self, label, presets,
-                                                  transforms, rng):
-        # Calibration takes Z of a (traces, samples, L) stack at once.
-        h_matrix = presets[label].operators.h_matrix
-        series = [run_bank(SampleSequence(values=rng.normal(size=300)), h_matrix)
-                  for _ in range(4)]
-        stacked = compute_statistic(np.stack([f.coeffs for f in series]),
-                                    transforms[label])
-        assert stacked.shape == (4, len(series[0]))
-        for row, features in zip(stacked, series):
-            assert np.array_equal(row, compute_statistic(features,
-                                                         transforms[label]))
-
     def test_masks_configurable(self, transforms):
         masks = HypothesisMask(foreground_keep=(1,), background_zero=(0, 1))
         z = compute_statistic(features_from([[0, 2.0, 0, 0, 0]]), transforms["A"],
@@ -176,7 +163,8 @@ class TestStatistic:
 def statistic_cases(draw):
     """A transform of random SPD weight over L = 3-9, a random valid mask,
     coefficient rows and residuals of a length around the statistic's
-    blocks, one slice of them and a stack of 1-4 equal runs of them."""
+    blocks, one slice of them, and 1-4 equal runs of them to lay end to
+    end."""
     l = draw(st.integers(3, 9))
     m = 2 * l + 1 + 2 * draw(st.integers(0, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -211,21 +199,15 @@ class TestStatisticBlocks:
         for got, want in zip(detection_statistics(coeffs[cut], tr, residual[cut],
                                                   masks=masks), whole):
             assert np.array_equal(got, want[cut])
-        # A stack as the batched pipeline passes it: a view whose traces
-        # are not adjacent in memory.
-        held = np.zeros((len(starts), length + 7, coeffs.shape[1] + 1))
-        held_residual = np.zeros(held.shape[:2])
-        for i, start in enumerate(starts):
-            held[i, :length, :-1] = coeffs[start:start + length]
-            held_residual[i, :length] = residual[start:start + length]
-        stack = held[:, :length, :-1]
-        stats = detection_statistics(stack, tr, held_residual[:, :length],
+        # Runs laid end to end, as detect_traces lays its traces: blocks
+        # cut across runs, and each run keeps its bits.
+        runs = [slice(start, start + length) for start in starts]
+        stats = detection_statistics(np.concatenate([coeffs[at] for at in runs]),
+                                     tr, np.concatenate([residual[at] for at in runs]),
                                      masks=masks)
-        assert np.array_equal(compute_statistic(stack, tr, masks=masks), stats[0])
         for got, want in zip(stats, whole):
-            assert got.shape == (len(starts), length)
-            for row, start in zip(got, starts):
-                assert np.array_equal(row, want[start:start + length])
+            assert np.array_equal(got.reshape(len(runs), length),
+                                  np.stack([want[at] for at in runs]))
 
     @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                         reason="einsum's two-lane order is that of x86-64 builds")
@@ -254,19 +236,27 @@ class TestStatisticBlocks:
         masks = HypothesisMask((0,), ())
         coeffs = rng.normal(size=(2 * STAT_ROWS + 1, 9))
         whole = compute_statistic(coeffs, tr, masks=masks)
-        rows = compute_statistic(coeffs[:40, None], tr, masks=masks)
-        assert np.array_equal(rows[:, 0], whole[:40])
         for i in range(40):
             assert np.array_equal(compute_statistic(coeffs[i:i + 1], tr, masks=masks),
                                   whole[i:i + 1])
 
-    @pytest.mark.parametrize("shape", [(0, 5), (3, 0, 5), (0, 7, 5)])
-    def test_zero_rows_give_empty_statistics(self, shape, transforms):
+    @pytest.mark.parametrize("shape", [(0, 3), (0, 5), (0, 9)])
+    def test_zero_rows_give_empty_statistics(self, shape):
+        filt = sg.design_preset("E", l=shape[1])
+        tr = build_ortho_transform(filt.operators.psi, filt.operators.weight.matrix)
         coeffs = np.zeros(shape)
-        assert compute_statistic(coeffs, transforms["E"]).shape == shape[:-1]
-        for out in detection_statistics(coeffs, transforms["E"],
-                                        np.zeros(shape[:-1])):
-            assert out.shape == shape[:-1]
+        assert compute_statistic(coeffs, tr).shape == (0,)
+        for out in detection_statistics(coeffs, tr, np.zeros(0)):
+            assert out.shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(3, 0, 5), (0, 7, 5), (2, 30, 5), (5,)])
+    def test_rows_not_2d_are_rejected(self, shape, transforms):
+        coeffs = np.zeros(shape)
+        message = rf"2-d.*{re.escape(str(shape))}"
+        with pytest.raises(ValueError, match=message):
+            compute_statistic(coeffs, transforms["E"])
+        with pytest.raises(ValueError, match=message):
+            detection_statistics(coeffs, transforms["E"], np.zeros(shape[:-1]))
 
 
 class TestStatisticMemory:
@@ -284,11 +274,12 @@ class TestStatisticMemory:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("shape", [(1 << 16, 5), (16, 383, 5)])
+    # 16 x 399 rows: a group of 16 traces end to end, as detect_traces
+    # passes them.
+    @pytest.mark.parametrize("shape", [(1 << 16, 5), (16 * 399, 5)])
     def test_peak_is_the_outputs(self, shape, transforms, rng):
-        # Rows as _by_trace passes a stack: traces apart in memory.
-        coeffs = rng.normal(size=shape[:-2] + (shape[-2] + 16, 5))[..., :shape[-2], :]
-        residual = rng.uniform(0.0, 2.0, size=shape[:-1])
+        coeffs = rng.normal(size=shape)
+        residual = rng.uniform(0.0, 2.0, size=shape[0])
         tr = transforms["E"]
         tr.mask_factors(DEFAULT_MASKS)
         output = 8 * residual.size

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,7 +298,7 @@ class TestBatchedDetection:
     @pytest.mark.parametrize("budget,passes", [(1, 6), (600_000, 3)],
                              ids=["one-trace-groups", "groups-across-scenarios"])
     def test_groups_give_one_pass_results(self, monkeypatch, budget, passes):
-        # 399-sample traces at M = 17 take ~255 kB each, so 600 kB holds two.
+        # 399-sample traces at M = 17 take ~223 kB each, so 600 kB holds two.
         kwargs = dict(scenarios=("low-white", "matched-colored"), seeds=(0, 1, 2),
                       amplitude=9.0)
         whole, seen = [], []
@@ -363,6 +364,39 @@ class TestBatchedDetection:
             sg.run_experiment(seeds=())
         with pytest.raises(ValueError, match="seed"):
             sg.calibrate_amplitude(seeds=())
+
+    # With no gap a trace has 93 samples, so at M = 129 no window lies
+    # within it: windows over the end-to-end padding are no result.
+    @pytest.mark.parametrize("run", [
+        lambda: sim.run_detector(fd.design_preset("A", m=129),
+                                 sg.build_trace("low-white", 0, gap=0)),
+        lambda: sg.run_experiment(scenarios=("low-white",), seeds=[0], m=129,
+                                  gap=0, labels=("A",)),
+        lambda: sg.calibrate_amplitude(seeds=(0, 1), m=129, gap=0),
+    ], ids=["run_detector", "run_experiment", "calibrate_amplitude"])
+    def test_rejects_traces_shorter_than_the_window(self, run):
+        with pytest.raises(ValueError,
+                           match="trace length 93 is shorter than the window 129"):
+            run()
+
+
+class TestExperimentMemory:
+    def test_groups_are_released_before_the_next(self, monkeypatch):
+        # 2.4 MB holds ten 399-sample traces at M = 17.
+        monkeypatch.setattr(sim, "GROUP_BYTES", 2_400_000)
+        kwargs = dict(scenarios=("low-white",), amplitude=9.0)
+        sg.run_experiment(seeds=(0,), **kwargs)    # designs and transforms
+
+        def peak(seeds):
+            tracemalloc.start()
+            try:
+                sg.run_experiment(seeds=seeds, **kwargs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_group = peak(range(10))
+        assert peak(range(40)) <= 1.1 * one_group
 
 
 class TestKeptDesigns:

@@ -5,7 +5,8 @@ A designed filter is one row of a bank H whose rows estimate all L monomial
 coefficients around every sample.  This demo runs the bank over a noisy
 quadratic pulse, shows the quadratic coefficient lighting up at the pulse
 center, reconstructs the fitted segment, and confirms that the streaming
-wrapper, fed uneven chunks, reproduces batch results bit for bit.
+wrapper, fed uneven chunks, reproduces batch results within the round-off
+bound 2 gamma_M sum|h||x| of each M-term product, gamma_M = M u / (1 - M u).
 
 Run:  python demos/03_polynomial_analysis_bank.py
 """
@@ -45,6 +46,11 @@ print(f"quadratic-coefficient trace: min {curvature.min():+.4f} at center "
 stream = StreamingBank(filt.operators.h_matrix)
 cuts = [5, 12, 13, 40, 70]
 collected = np.concatenate([stream.push(chunk) for chunk in np.split(x, cuts)])
+m = len(filt.h)
+unit = np.finfo(float).eps / 2
+windows = np.lib.stride_tricks.sliding_window_view(np.abs(x), m)
+bound = 2 * m * unit / (1 - m * unit) * (windows @ np.abs(filt.operators.h_matrix.T))
+deviation = np.abs(collected - feats.coeffs)
 print(f"streaming wrapper, chunks of {np.diff([0, *cuts, len(x)]).tolist()} "
-      f"samples, identical to batch:",
-      bool(np.array_equal(collected, feats.coeffs)))
+      f"samples: largest deviation from batch {deviation.max():.2e}, "
+      f"{np.max(deviation / bound):.3f} of the round-off bound")

@@ -19,6 +19,12 @@ of P = 16 consecutive windows, so each window costs (P + M - 1) / P copied
 samples instead of M.  Every other matrix takes one window a product row.
 Samples must be finite: a zero of the band times NaN is NaN, which would
 reach the other windows of a segment.
+
+A row is its window's M-term dot products with the matrix, summed in an
+order the BLAS kernel picks.  Two computations of a row, in any layout,
+chunking or pass, agree within 2 gamma_M sum|h||x| per output,
+gamma_M = M u / (1 - M u) (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., 3.1), on every kernel; their bits are not a contract.
 """
 
 from __future__ import annotations
@@ -35,11 +41,10 @@ BLOCK_BYTES = 1 << 19
 SLAB_ROWS = 64
 PRODUCT_MADDS = 1 << 18
 RESIDUAL_BYTES = 1 << 19
-# Windows per segment of a banded matrix, the widest matrix banded and the
-# deepest segment (slab_shape).
+# Windows per segment of a banded matrix and the widest matrix banded
+# (slab_shape).
 BAND_WINDOWS = 16
 BAND_WIDTH = 8
-BAND_DEPTH = 384
 
 
 def _freeze(record, *names, dtype=float) -> None:
@@ -125,20 +130,10 @@ def slab_shape(m: int, width: int) -> tuple[int, int, int, int]:
     (2^k >= 2) and products per block for an M x width matrix.
 
     A matrix of at most BAND_WIDTH columns is banded (``_Layout``) with
-    P = BAND_WINDOWS while its rows, P + M - 1 samples deep, fit BAND_DEPTH,
-    and keeps at least BAND_WIDTH columns; any other matrix has P = 1, one
-    window a row.  OpenBLAS 0.3.31 rounds a row differently with the
-    product's shape, the row's place in a product of other than 2^k rows
-    and the product's split between threads, and numpy sends one-row
-    products down the vector path.  With its SkylakeX kernels a band row
-    gives each window the bits of a product of copied windows by the matrix
-    padded to 8 columns when P * width is a multiple of 8.  A product larger
-    than PRODUCT_MADDS can split a sum deeper than one k-block (384 doubles)
-    in two, at a place that differs from window to window of a band row, so
-    bands stay within that depth."""
-    narrow = 0 < width <= BAND_WIDTH
-    p = BAND_WINDOWS if narrow and m + BAND_WINDOWS - 1 <= BAND_DEPTH else 1
-    columns = max(p * width, BAND_WIDTH) if narrow else width
+    P = BAND_WINDOWS at any M, P * width columns; any other matrix has
+    P = 1, one window a row.  A product fits PRODUCT_MADDS where 2 rows do."""
+    p = BAND_WINDOWS if 0 < width <= BAND_WIDTH else 1
+    columns = p * width
     depth = p + m - 1
     fit = PRODUCT_MADDS // (depth * max(columns, 1))
     rows = min(SLAB_ROWS, 1 << max(fit.bit_length() - 1, 1))
@@ -151,9 +146,8 @@ class _Layout:
     The band is the (P + M - 1) x columns block-Toeplitz matrix B with
     B[t + j, t * width + c] = matrix[j, c], zero elsewhere: a segment
     x[s:s + P + M - 1] times B holds the rows x[s + t:s + t + M] @ matrix,
-    t < P, side by side.  With P = 1 it is a row-major copy of the matrix,
-    padded with zero columns to ``columns`` (OpenBLAS took 1.7x as long with
-    the transposed M = 17 bank)."""
+    t < P, side by side.  With P = 1 it is a row-major copy of the matrix
+    (OpenBLAS took 1.7x as long with the transposed M = 17 bank)."""
 
     def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=float)
@@ -201,17 +195,15 @@ class _Layout:
                 flat[len(part), len(tail):] = 0.0
             used = -(-count // rows)
             np.matmul(self.block[:used], self.band, out=out[first:first + used])
-        # Without the zero columns of a narrow matrix.
-        return out.reshape(products * rows * p, columns // p)[:windows, :self.width]
+        return out.reshape(products * rows * p, columns // p)[:windows]
 
 
 def window_products(samples: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Row i is x[i:i+M] @ matrix, for every full window of the samples,
     which must be 1-d and finite (else ValueError), through the matrix's
     ``_Layout``.  Its products have one shape, the last one padded with
-    zeros or earlier segments, so a row's bits depend only on its window and
-    the matrix: a zero of the band times a finite sample adds nothing to
-    another window's sum."""
+    zeros or earlier segments; a zero of the band times a finite sample adds
+    nothing to another window's sum."""
     return _Layout(matrix)(_checked(samples))
 
 
@@ -220,14 +212,13 @@ def window_power_sums(samples: np.ndarray, matrices) -> list:
     the samples' ``window_products`` through it, from as few window passes
     as fit; [] for no matrix.
 
-    Each matrix takes its width rounded up to a multiple of 8 (zero columns)
-    and the matrices are packed left to right into passes of at most
-    PRODUCT_MADDS // (M * SLAB_ROWS) columns, so every product of a pass
-    wider than 8 columns keeps SLAB_ROWS windows; a pass of 8 is banded, as
-    ``window_products`` bands any narrow matrix.  A matrix wider than that
-    once rounded runs alone, unpadded.  OpenBLAS 0.3.31 (SkylakeX kernels)
-    gives a column the same bits at any 8-aligned place of such a pass, so a
-    matrix's sums do not depend on what it is packed with.  The passes run
+    The matrices are packed left to right, each at its own width, into
+    passes of at most PRODUCT_MADDS // (M * SLAB_ROWS) columns, so every
+    product of a pass wider than BAND_WIDTH columns keeps SLAB_ROWS windows;
+    a narrower pass is banded, as ``window_products`` bands any narrow
+    matrix, and a matrix wider than the limit takes a pass of its own.  A
+    matrix's sums agree with those of it alone within the round-off of its
+    M-term products, whatever it is packed with.  The passes run
     over consecutive slices of whole products of windows whose outputs take
     at most RESIDUAL_BYTES (one product at least), into buffers that every
     slice reuses, so what is held beyond the sums does not grow with the
@@ -239,17 +230,14 @@ def window_power_sums(samples: np.ndarray, matrices) -> list:
         return []
     m = matrices[0].shape[0]
     limit = PRODUCT_MADDS // (m * SLAB_ROWS)
-    passes = []                 # (layout, [(matrix index, first column)])
     packs = []                  # [columns, members] of the packed passes
     for i, matrix in enumerate(matrices):
-        padded = -(-matrix.shape[1] // 8) * 8
-        if padded > limit:
-            passes.append((_Layout(matrix), [(i, 0)]))
-            continue
-        if not packs or packs[-1][0] + padded > limit:
+        width = matrix.shape[1]
+        if not packs or packs[-1][0] + width > limit:
             packs.append([0, []])
         packs[-1][1].append((i, packs[-1][0]))
-        packs[-1][0] += padded
+        packs[-1][0] += width
+    passes = []                 # (layout, [(matrix index, first column)])
     for columns, members in packs:
         stacked = np.zeros((m, columns))
         for i, first in members:
@@ -298,7 +286,8 @@ def run_bank(x: SampleSequence, h_matrix: np.ndarray) -> FeatureSeries:
 
 class StreamingBank:
     """Chunked run_bank that keeps the last M - 1 samples between pushes; the
-    rows of all pushes equal the batch run bit for bit, however it is split.
+    rows of all pushes agree with the batch run within the round-off of
+    their M-term products, however it is split.
     The matrix is laid out for the window kernel once, on construction.  A
     chunk that is not 1-d and finite raises ValueError and is not kept."""
 

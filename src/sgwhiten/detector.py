@@ -37,10 +37,13 @@ squares of M - L FIR outputs, through the columns of a factor V of the
 residual form, V V' = W_s - W_s psi G^-1 psi' W_s, built from one Cholesky
 factor of W_s and one QR without forming the form.  ``residual_powers``
 gets the residuals of several filters from shared window passes
-(``analysis_bank.window_power_sums``), in which each V is padded with zero
-columns to a multiple of 8 where that fits; ``residual_power`` is its
-one-filter case, so a residual has the same bits alone or shared.  The
-coefficient rows come from ``analysis_bank.run_bank`` alone.
+(``analysis_bank.window_power_sums``); ``residual_power`` is its one-filter
+case.  The coefficient rows come from ``analysis_bank.run_bank`` alone.
+
+The numerical contract is a round-off bound, not bits (see
+``analysis_bank``): a residual alone or in a shared pass, a row's statistics
+in any block, and a trace's reports alone or batched agree within the bound
+of their products, carried through the sums of squares, on every BLAS kernel.
 
 W is first rescaled to unit maximum element.  Both ratios are unchanged by
 the scale of W except through eps, so the rescaling fixes the scale the
@@ -61,7 +64,7 @@ alone, and ``threshold_detect`` is the one crossing rule, for Z or D.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 import math
 import numbers
 
@@ -277,8 +280,8 @@ def residual_powers(samples: np.ndarray, transforms) -> list:
 
     All factors go through shared window passes (``window_power_sums``) over
     bounded slices of windows, so what is held beyond the results does not
-    grow with the input.  A power depends only on its window and its own
-    factor, so each equals that transform's ``residual_power`` alone.
+    grow with the input.  Each power agrees with that transform's
+    ``residual_power`` alone within the round-off of its M-term products.
     """
     x = np.asarray(samples, dtype=float)
     factors = [transform.residual_factor for transform in transforms]
@@ -293,33 +296,17 @@ def residual_power(samples: np.ndarray, transform: OrthoTransform) -> np.ndarray
     return residual_powers(samples, [transform])[0]
 
 
-@cache
-def _lanes(count: int) -> tuple[tuple, tuple]:
-    """The columns that numpy's einsum("ij,ij->i") adds into each of its two
-    lanes on x86-64, where it sums a row without fused multiply-add: the
-    even columns into lane 0 and the odd ones into lane 1, each run of eight
-    columns last pair first.  The lane sums are added at the end."""
-    whole = count - count % 8
-    even = [start + v for start in range(0, whole, 8) for v in (6, 4, 2, 0)]
-    even += range(whole, count, 2)
-    return tuple(even), tuple(j + 1 for j in even if j + 1 < count)
-
-
-def _sum_squares(part: np.ndarray, lanes, out: np.ndarray, spare) -> None:
-    """Row sums of squares of ``part``'s columns into ``out``, lane by lane
-    in ``_lanes`` order: einsum's bits, with one pass over the rows per
-    column where einsum makes one call per row.  ``spare`` is two buffers
-    shaped like ``out``."""
-    for columns, total in zip(lanes, (out, spare[0])):
-        for n, j in enumerate(columns):
-            if n:
-                total += np.square(part[..., j], out=spare[1])
-            else:
-                np.square(part[..., j], out=total)
-    if not lanes[0]:
+def _sum_squares(part: np.ndarray, out: np.ndarray, spare: np.ndarray) -> None:
+    """Row sums of squares of ``part``'s columns into ``out``, one pass over
+    the rows per column, each square after the first added through
+    ``spare``, a buffer shaped like ``out``."""
+    for j in range(part.shape[1]):
+        if j:
+            out += np.square(part[:, j], out=spare)
+        else:
+            np.square(part[:, j], out=out)
+    if not part.shape[1]:
         out.fill(0.0)
-    elif lanes[1]:
-        out += spare[0]
 
 
 def _powers(coeffs: np.ndarray, transform: OrthoTransform,
@@ -328,7 +315,8 @@ def _powers(coeffs: np.ndarray, transform: OrthoTransform,
     power p0 + eps, p0 = |C_B a_B|^2 = |U a0|^2, of coefficient rows
     (samples, L), a block of at most ``STAT_ROWS`` rows at a time.  Yields
     each block's row slice with its p1 and p0 + eps, in buffers that the next
-    block reuses.  A row's powers do not depend on its block (see README)."""
+    block reuses.  A row's powers depend on its block only through the
+    round-off of its L-term products (see README)."""
     if not 0 < epsilon < math.inf:
         raise ValueError(f"denominator guard epsilon must be positive and "
                          f"finite, got {epsilon!r}")
@@ -336,24 +324,16 @@ def _powers(coeffs: np.ndarray, transform: OrthoTransform,
         raise ValueError(f"coefficient rows must be 2-d, got shape {coeffs.shape}")
     factors = transform.mask_factors(masks)
     split, width = factors.split, factors.joined.shape[1]
-    fore, back = _lanes(split), _lanes(width - split)
     rows = max(min(len(coeffs), STAT_ROWS), 1)
     product = np.empty((rows, width))
-    p1, p0, *spare = (np.empty(rows) for _ in range(4))
+    p1, p0, spare = (np.empty(rows) for _ in range(3))
     for start in range(0, len(coeffs), rows):
         block = coeffs[start:start + rows]
         count = len(block)
-        if count == 1:
-            # numpy multiplies a lone row with gemv, which sums in another
-            # order than gemm: pair it with a zero row.
-            block = np.concatenate([block, np.zeros_like(block)])
-            part = np.matmul(block, factors.joined)[:1]
-        else:
-            part = np.matmul(block, factors.joined, out=product[:count])
+        part = np.matmul(block, factors.joined, out=product[:count])
         fore_power, back_power = p1[:count], p0[:count]
-        work = [buffer[:count] for buffer in spare]
-        _sum_squares(part[:, :split], fore, fore_power, work)
-        _sum_squares(part[:, split:], back, back_power, work)
+        _sum_squares(part[:, :split], fore_power, spare[:count])
+        _sum_squares(part[:, split:], back_power, spare[:count])
         back_power += epsilon
         yield slice(start, start + count), fore_power, back_power
 
@@ -365,9 +345,9 @@ def compute_statistic(features, transform: OrthoTransform,
 
     ``features`` is a ``FeatureSeries`` or its coefficient rows (samples, L);
     Z has one value per row, linear scale (``to_decibels`` gives the dB
-    form), and a row's Z does not depend on the rows around it.  Rows that
-    are not 2-d are a ValueError.  ``epsilon`` guards the denominator and
-    must be positive and finite.
+    form), and the rows around a row move its Z only by the round-off of
+    its products.  Rows that are not 2-d are a ValueError.  ``epsilon``
+    guards the denominator and must be positive and finite.
     """
     coeffs = np.asarray(getattr(features, "coeffs", features), dtype=float)
     z = np.empty(coeffs.shape[:-1])
@@ -387,12 +367,16 @@ def to_decibels(z: np.ndarray) -> np.ndarray:
 
 def threshold_detect(z_db: np.ndarray, gamma_db: float = DEFAULT_GAMMA_DB,
                      offset: int = 0) -> np.ndarray:
-    """Absolute sample indices where a dB series exceeds the threshold,
-    which must be finite (else ValueError)."""
+    """Absolute sample indices where a 1-d dB series exceeds the threshold,
+    which must be finite; ValueError for a series that is not 1-d, or a
+    threshold that is not finite."""
     if not math.isfinite(gamma_db):
         raise ValueError(
             f"detection threshold gamma_db must be finite, got {gamma_db!r}")
-    return np.nonzero(np.asarray(z_db) > gamma_db)[0] + offset
+    z_db = np.asarray(z_db)
+    if z_db.ndim != 1:
+        raise ValueError(f"a dB series must be 1-d, got shape {z_db.shape}")
+    return np.nonzero(z_db > gamma_db)[0] + offset
 
 
 def peak_snr(z_db: np.ndarray, extents, offset: int, half_window: int) -> list:

@@ -31,10 +31,9 @@ noise-corrected statistic D, which needs the trace samples as well as the
 bank's coefficients (see ``detector``).  Amplitude calibration bisects over
 pulse amplitudes 0.1 to 1000 and reads only the Z peak of the medium pulse:
 it builds each seed's trace once and, per bisection step, recomposes only
-the samples that peak reads, for all seeds in one bank pass.  A window's
-bank row depends only on the window (``analysis_bank.window_products``) and
-its statistics only on the row, so both give the results of whole traces
-analysed one at a time, bit for bit.
+the samples that peak reads, for all seeds in one bank pass.  Both give the
+results of whole traces analysed one at a time within the round-off bound
+of their products (``analysis_bank``).
 """
 
 from __future__ import annotations
@@ -258,10 +257,8 @@ def detect_traces(filters, traces, gamma_db: float = DEFAULT_GAMMA_DB,
     ``filters`` maps labels to ``DesignedFilter``s; the result maps each
     label to its reports, in trace order.
 
-    Each report equals a run of its filter over its trace alone bit for bit:
-    a window's bank row and residual depend only on the window and the
-    filter, and a row's statistics only on the row, whatever the row count
-    of the product that makes them (see README).  Raises ValueError when
+    Each report agrees with a run of its filter over its trace alone within
+    the round-off bound of its products (see README).  Raises ValueError when
     there is no filter or trace, the filters differ in M, the traces in
     layout, a trace is shorter than M, or a sample is not finite.
     """
@@ -468,7 +465,7 @@ def calibrate_amplitude(target_db: float = 28.5, tol_db: float = 1.0,
     steps.  Each seed's trace is built once, and an evaluation recomposes
     and analyses only the samples the medium-pulse peak reads
     (``_medium_peaks``): the peaks are those of whole traces at that
-    amplitude, bit for bit.  Raises ValueError when there is no seed.
+    amplitude, within round-off.  Raises ValueError when there is no seed.
     """
     seeds = tuple(seeds)
     if not seeds:

@@ -4,8 +4,10 @@
 what ``design`` calls must call ``fd.design.cache_clear()`` first.
 
 The session header names numpy's BLAS and the CPU kernels it picked at run
-time: the window kernel's bit-equality tests hold for the kernels they were
-measured with (OpenBLAS 0.3.31, SkylakeX).
+time.  The kernel, statistic and detection tests assert round-off bounds
+(``roundoff.py``) that hold on every kernel; the golden-byte tests of
+``test_cli.py`` hold for the kernels the golden files were written with
+(OpenBLAS 0.3.31, SkylakeX).
 """
 
 import ctypes

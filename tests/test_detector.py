@@ -1,6 +1,5 @@
 """Orthonormal transform, detection statistic, thresholding, peak extraction."""
 
-import platform
 import re
 import tracemalloc
 
@@ -19,6 +18,8 @@ from sgwhiten.detector import (DEFAULT_MASKS, STAT_ROWS, HypothesisMask,
                                residual_power, residual_powers,
                                threshold_detect, to_decibels)
 from sgwhiten.errors import NotPositiveDefiniteError
+
+from roundoff import assert_within, check_statistics, statistics
 
 # Regression value computed once from a deterministic noise-free run: a
 # 17-sample quadratic pulse of amplitude 10 on a zero baseline, plain preset.
@@ -187,58 +188,40 @@ def statistic_cases(draw):
 
 class TestStatisticBlocks:
     """Z and D are computed in blocks of at most STAT_ROWS rows; a row's
-    values depend only on the row."""
+    values are those of its products, within their round-off bound."""
 
     @settings(max_examples=60, deadline=None)
     @given(statistic_cases())
     def test_slices_and_stacks_equal_the_whole_series(self, case):
         tr, masks, coeffs, residual, cut, length, starts = case
+        ref = statistics(coeffs, tr, residual, masks=masks)
         whole = detection_statistics(coeffs, tr, residual, masks=masks)
         assert all(out.shape == residual.shape for out in whole)
-        assert np.array_equal(compute_statistic(coeffs, tr, masks=masks), whole[0])
-        for got, want in zip(detection_statistics(coeffs[cut], tr, residual[cut],
-                                                  masks=masks), whole):
-            assert np.array_equal(got, want[cut])
+        check_statistics(*whole, ref)
+        assert_within(compute_statistic(coeffs, tr, masks=masks), ref.z,
+                      ref.z_bound)
+        check_statistics(*detection_statistics(coeffs[cut], tr, residual[cut],
+                                               masks=masks), ref[cut])
         # Runs laid end to end, as detect_traces lays its traces: blocks
-        # cut across runs, and each run keeps its bits.
-        runs = [slice(start, start + length) for start in starts]
-        stats = detection_statistics(np.concatenate([coeffs[at] for at in runs]),
-                                     tr, np.concatenate([residual[at] for at in runs]),
-                                     masks=masks)
-        for got, want in zip(stats, whole):
-            assert np.array_equal(got.reshape(len(runs), length),
-                                  np.stack([want[at] for at in runs]))
-
-    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
-                        reason="einsum's two-lane order is that of x86-64 builds")
-    @pytest.mark.parametrize("l", [3, 5, 8, 9, 13])
-    def test_powers_keep_einsum_bits(self, l, rng):
-        # The sums of squares take einsum's order, so Z keeps the bits of
-        # einsum over one product, at every column count.
-        m = 2 * l + 3
-        a = rng.normal(size=(m, m))
-        tr = build_ortho_transform(sg.build_vandermonde(m, l), a @ a.T + m * np.eye(m))
-        coeffs = rng.normal(size=(500, l)) * 10.0 ** rng.uniform(-3, 3, size=(500, 1))
-        for masks in (DEFAULT_MASKS, HypothesisMask((0,), ()),
-                      HypothesisMask(tuple(range(l)), tuple(range(l)))):
-            factors = tr.mask_factors(masks)
-            part = coeffs @ factors.joined
-            fore, back = part[:, :factors.split], part[:, factors.split:]
-            want = (np.einsum("ij,ij->i", fore, fore)
-                    / (np.einsum("ij,ij->i", back, back) + 1e-3))
-            assert np.array_equal(compute_statistic(coeffs, tr, masks=masks), want)
+        # cut across runs.
+        rows = np.concatenate([np.arange(start, start + length)
+                               for start in starts]).astype(int)
+        check_statistics(*detection_statistics(coeffs[rows], tr, residual[rows],
+                                               masks=masks), ref[rows])
 
     def test_lone_rows_equal_the_whole_series(self, rng):
-        # A one-row block, as at the end of 2 * STAT_ROWS + 1 rows, takes
-        # the bits that the row has in a block of many.
+        # A one-row block, as at the end of 2 * STAT_ROWS + 1 rows, agrees
+        # with the row in a block of many within the round-off bound.
         filt = sg.design_preset("E", l=9)
         tr = build_ortho_transform(filt.operators.psi, filt.operators.weight.matrix)
         masks = HypothesisMask((0,), ())
         coeffs = rng.normal(size=(2 * STAT_ROWS + 1, 9))
-        whole = compute_statistic(coeffs, tr, masks=masks)
+        ref = statistics(coeffs, tr, np.zeros(len(coeffs)), masks=masks)
+        assert_within(compute_statistic(coeffs, tr, masks=masks), ref.z,
+                      ref.z_bound)
         for i in range(40):
-            assert np.array_equal(compute_statistic(coeffs[i:i + 1], tr, masks=masks),
-                                  whole[i:i + 1])
+            assert_within(compute_statistic(coeffs[i:i + 1], tr, masks=masks),
+                          ref.z[i:i + 1], ref.z_bound[i:i + 1])
 
     @pytest.mark.parametrize("shape", [(0, 3), (0, 5), (0, 9)])
     def test_zero_rows_give_empty_statistics(self, shape):
@@ -434,6 +417,11 @@ class TestThreshold:
         z = compute_statistic(feats, transforms["A"])
         events = threshold_detect(to_decibels(z), 20.0, offset=8)
         assert len(events) == 0
+
+    def test_stack_rejected(self):
+        # Row numbers of a stack are not sample indices.
+        with pytest.raises(ValueError, match=re.escape("(2, 3)")):
+            threshold_detect([[0, 30, 0], [0, 0, 25]], 20.0, offset=100)
 
     def test_offset_mapping(self):
         z_db = np.array([0.0, 25.0, 30.0, 0.0])

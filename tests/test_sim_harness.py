@@ -10,11 +10,12 @@ import pytest
 import sgwhiten as sg
 from sgwhiten import sim_harness as sim
 from sgwhiten import filter_design as fd
-from sgwhiten.analysis_bank import SampleSequence, run_bank, window_products
+from sgwhiten.analysis_bank import SampleSequence, run_bank
 from sgwhiten.detector import (DEFAULT_EPSILON, DEFAULT_MASKS, HypothesisMask,
                                build_ortho_transform, compute_statistic,
-                               peak_snr, threshold_detect,
-                               to_decibels)
+                               peak_snr, to_decibels)
+
+from roundoff import check_report, trace_statistics
 
 
 class TestPulseTrain:
@@ -239,31 +240,18 @@ class TestLongWindowSelectivity:
             assert result.cells[("low-white", label)].nonquad_event == 0.0, label
 
 
-def per_trace_report(filt, trace, masks=DEFAULT_MASKS, epsilon=DEFAULT_EPSILON,
-                     gamma_db=20.0):
-    """One trace alone through bank, statistics and threshold, spelled out."""
-    tr = build_ortho_transform(filt.operators.psi, filt.operators.weight.matrix)
-    feats = run_bank(SampleSequence(values=trace.x), filt.operators.h_matrix)
-    factors = tr.mask_factors(masks)
-    part = feats.coeffs @ factors.joined
-    fore, back = part[:, :factors.split], part[:, factors.split:]
-    p1 = np.einsum("ij,ij->i", fore, fore)
-    p0 = np.einsum("ij,ij->i", back, back)
-    # Shared passes run the residual factor padded with zero columns to a
-    # multiple of 8 (as wide as that fits a pass at M = 17 and 33).
-    m, width = tr.residual_factor.shape
-    factor = np.zeros((m, -(-width // 8) * 8))
-    factor[:, :width] = tr.residual_factor
-    out = window_products(trace.x, factor)[:, :width]
-    residual = np.einsum("nk,nk->n", out, out)
-    z = p1 / (p0 + epsilon)
-    z_db = to_decibels(z)
-    noise = tr.mask_factors(masks).share * residual
-    decision_db = to_decibels(np.maximum(p1 - noise, 0.0) / (p0 + epsilon))
-    return {"z": z, "z_db": z_db, "decision_db": decision_db,
-            "events": threshold_detect(decision_db, gamma_db, feats.offset),
-            "peak_snr_db": tuple(peak_snr(z_db, trace.extents(), feats.offset,
-                                          filt.half_length))}
+def check_reports(reports, filters, trace, masks=DEFAULT_MASKS,
+                  epsilon=DEFAULT_EPSILON, gamma_db=20.0):
+    """Each report against its filter's trace alone, spelled out, within the
+    round-off bound; whether any report's events differed from it."""
+    differed = False
+    for lab, report in reports.items():
+        filt = filters[lab]
+        differed |= check_report(
+            report, trace_statistics(filt, trace, masks, epsilon), gamma_db,
+            filt.half_length, trace.extents(), filt.half_length,
+            (trace.name, trace.seed, lab))
+    return differed
 
 
 class TestBatchedDetection:
@@ -272,13 +260,14 @@ class TestBatchedDetection:
     @pytest.mark.parametrize("kwargs", [
         dict(m=17, seeds=(0, 1, 2)),
         dict(m=33, seeds=(3, 4)),
+        dict(m=257, seeds=(5, 6)),
         dict(m=17, seeds=(5, 6), colored_white_noise=True,
              masks=HypothesisMask(foreground_keep=(1, 2), background_zero=(0, 1, 2))),
         dict(m=17, seeds=(7,), scenarios=("mismatched-colored",),
              masks=HypothesisMask(foreground_keep=(2, 3, 4),
                                   background_zero=(0,)), epsilon=1e-2,
              gamma_db=12.0),
-    ], ids=["m17", "m33", "masks-colored-white", "one-trace"])
+    ], ids=["m17", "m33", "m257", "masks-colored-white", "one-trace"])
     def test_reports_equal_per_trace_path(self, kwargs):
         seen = []
         result = sg.run_experiment(amplitude=9.0,
@@ -289,11 +278,7 @@ class TestBatchedDetection:
             [(s, k) for s in result.scenarios for k in result.seeds]
         for trace, filters, reports in seen:
             assert set(reports) == set(fd.PRESET_LABELS)
-            for lab, report in reports.items():
-                want = per_trace_report(filters[lab], trace, **options)
-                for name, value in want.items():
-                    assert np.array_equal(getattr(report, name), value), \
-                        (trace.name, trace.seed, lab, name)
+            check_reports(reports, filters, trace, **options)
 
     @pytest.mark.parametrize("budget,passes", [(1, 6), (600_000, 3)],
                              ids=["one-trace-groups", "groups-across-scenarios"])
@@ -314,20 +299,29 @@ class TestBatchedDetection:
         assert len(calls) == passes
         assert all(labels == fd.PRESET_LABELS for labels, _ in calls)
         assert sum(count for _, count in calls) == 6
-        assert got.cells == want.cells
         assert len(seen) == len(whole) == 6
-        for (trace, _, reports), (trace0, _, reports0) in zip(seen, whole):
+        differed = False
+        for (trace, filters, reports), (trace0, _, reports0) in zip(seen, whole):
             assert (trace.name, trace.seed) == (trace0.name, trace0.seed)
-            for lab, report in reports.items():
-                for name in ("z", "z_db", "decision_db", "events", "peak_snr_db"):
-                    assert np.array_equal(getattr(report, name),
-                                          getattr(reports0[lab], name))
+            differed |= check_reports(reports, filters, trace)
+            differed |= check_reports(reports0, filters, trace)
+        # The cells hold each report's medium peak and detection pattern.
+        medium = sim.PULSE_KINDS.index(sim.MEDIUM)
+        for result, runs in ((got, seen), (want, whole)):
+            for (scenario, lab), cell in result.cells.items():
+                assert cell.peaks_medium_db == tuple(
+                    reports[lab].peak_snr_db[medium]
+                    for trace, _, reports in runs if trace.name == scenario)
+        if not differed:
+            assert {key: dataclasses.replace(cell, peaks_medium_db=())
+                    for key, cell in got.cells.items()} == \
+                {key: dataclasses.replace(cell, peaks_medium_db=())
+                 for key, cell in want.cells.items()}
 
     def test_run_detector_is_the_one_trace_case(self, presets):
         trace = sg.build_trace("high-white", seed=4)
-        report = sim.run_detector(presets["F"], trace)
-        for name, value in per_trace_report(presets["F"], trace).items():
-            assert np.array_equal(getattr(report, name), value), name
+        check_reports({"F": sim.run_detector(presets["F"], trace)}, presets,
+                      trace)
 
     def test_rejects_traces_of_other_layouts(self, presets):
         traces = [sg.build_trace("low-white", seed=0),
@@ -425,12 +419,10 @@ class TestKeptDesigns:
         seen = []
         sg.run_experiment(sink=lambda *args: seen.append(args), **kwargs)
         for trace, filters, reports in seen:
-            for lab, report in reports.items():
-                fresh = fd.design.__wrapped__(filters[lab].spec, label=lab)
-                assert fresh is not filters[lab]
-                for name, value in per_trace_report(fresh, trace).items():
-                    assert np.array_equal(getattr(report, name), value), \
-                        (trace.name, trace.seed, lab, name)
+            fresh = {lab: fd.design.__wrapped__(filters[lab].spec, label=lab)
+                     for lab in reports}
+            assert all(fresh[lab] is not filters[lab] for lab in reports)
+            check_reports(reports, fresh, trace)
 
 
 def plain_calibration(target_db, tol_db, seeds, m, l, gap, lo=0.1, hi=1000.0,

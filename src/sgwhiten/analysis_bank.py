@@ -7,16 +7,17 @@ per-sample vector of local monomial coefficient estimates from which a
 polynomial segment can be re-synthesized.  One kernel serves the bank,
 streamed chunks and the detector's residual factors: ``window_products``
 runs one matrix, ``StreamingBank`` keeps one matrix's layout across chunks,
-and ``window_power_sums`` runs several matrices in shared passes and keeps
-only each window's sum of squares.  Coefficient rows come from ``run_bank``
-alone, so they never depend on what else a pass holds.
+and ``window_power_sums`` runs several matrices side by side in one pass and
+keeps only each window's sum of squares.  Coefficient rows come from
+``run_bank`` alone, so they never depend on what else a pass holds.
 
-The kernel multiplies copied samples by the matrix with BLAS, in products of
-one shape per matrix (``slab_shape``), through a layout (``_Layout``) built
-once per matrix.  A narrow matrix, such as an L-row bank, is laid out as a
-band: one product row is a segment of P + M - 1 samples and gives the rows
-of P = 16 consecutive windows, so each window costs (P + M - 1) / P copied
-samples instead of M.  Every other matrix takes one window a product row.
+The kernel copies samples into blocks of about BLOCK_BYTES and multiplies
+each block by the matrix in one BLAS product, through a layout (``_Layout``)
+built once per matrix (``slab_shape``).  A narrow matrix, such as an L-row
+bank, is laid out as a band: one product row is a segment of P + M - 1
+samples and gives the rows of P = 16 consecutive windows, so each window
+costs (P + M - 1) / P copied samples instead of M.  Every other matrix takes
+one window a product row.
 Samples must be finite: a zero of the band times NaN is NaN, which would
 reach the other windows of a segment.
 
@@ -34,12 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-# Bytes of segments per copied block, rows per product at most,
-# multiply-adds per product at most (OpenBLAS threads larger products) and
-# bytes of pass outputs window_power_sums holds at once.
+# Bytes of segments per copied block and bytes of pass outputs
+# window_power_sums holds at once.
 BLOCK_BYTES = 1 << 19
-SLAB_ROWS = 64
-PRODUCT_MADDS = 1 << 18
 RESIDUAL_BYTES = 1 << 19
 # Windows per segment of a banded matrix and the widest matrix banded
 # (slab_shape).
@@ -125,24 +123,22 @@ def convolve(x: SampleSequence, filt) -> SampleSequence:
     return SampleSequence(values=interior, start=x.start + k)
 
 
-def slab_shape(m: int, width: int) -> tuple[int, int, int, int]:
-    """Windows per product row P, columns per product, rows per product
-    (2^k >= 2) and products per block for an M x width matrix.
+def slab_shape(m: int, width: int) -> tuple[int, int, int]:
+    """Windows per product row P, columns per product and segments per
+    copied block for an M x width matrix.
 
     A matrix of at most BAND_WIDTH columns is banded (``_Layout``) with
     P = BAND_WINDOWS at any M, P * width columns; any other matrix has
-    P = 1, one window a row.  A product fits PRODUCT_MADDS where 2 rows do."""
+    P = 1, one window a row.  A block of segments of P + M - 1 samples takes
+    about BLOCK_BYTES."""
     p = BAND_WINDOWS if 0 < width <= BAND_WIDTH else 1
-    columns = p * width
-    depth = p + m - 1
-    fit = PRODUCT_MADDS // (depth * max(columns, 1))
-    rows = min(SLAB_ROWS, 1 << max(fit.bit_length() - 1, 1))
-    return p, columns, rows, max(BLOCK_BYTES // (8 * depth * rows), 1)
+    return p, p * width, max(BLOCK_BYTES // (8 * (p + m - 1)), 1)
 
 
 class _Layout:
-    """An M x width matrix laid out once for the window kernel: its product
-    shape (``slab_shape``), its band and the block segments are copied into.
+    """An M x width matrix laid out once for the window kernel: its banding
+    and block size (``slab_shape``), its band and the block segments are
+    copied into.
     The band is the (P + M - 1) x columns block-Toeplitz matrix B with
     B[t + j, t * width + c] = matrix[j, c], zero elsewhere: a segment
     x[s:s + P + M - 1] times B holds the rows x[s + t:s + t + M] @ matrix,
@@ -152,112 +148,87 @@ class _Layout:
     def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=float)
         m, self.width = matrix.shape
-        self.p, columns, self.rows, self.per_block = slab_shape(m, self.width)
+        self.p, columns, self.per_block = slab_shape(m, self.width)
         self.band = np.zeros((self.p + m - 1, columns))
         for t in range(self.p):
             self.band[t:t + m, t * self.width:(t + 1) * self.width] = matrix
-        self.block = np.zeros((0, self.rows, self.p + m - 1))
+        self.block = np.zeros((0, self.p + m - 1))
 
     def out(self, windows: int) -> np.ndarray:
-        """An output buffer of whole products for ``windows`` windows."""
-        return np.empty((-(-windows // (self.p * self.rows)), self.rows,
-                         self.band.shape[1]))
+        """An output buffer of whole segments for ``windows`` windows."""
+        return np.empty((-(-windows // self.p), self.band.shape[1]))
 
     def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Rows x[i:i+M] @ matrix for every full window of the finite 1-d x,
-        written into the first products of ``out`` (a fresh ``out(windows)``
-        if None).  Segments of P + M - 1 samples, P apart, are copied into
-        the block (the last, if x ends inside it, padded with zeros) and
-        multiplied by the band in products of one shape, the last one padded
-        with zeros or earlier segments."""
-        p, rows = self.p, self.rows
+        written into the first rows of ``out`` (a fresh ``out(windows)`` if
+        None).  Segments of P + M - 1 samples, P apart, are copied a block
+        at a time (the last, if x ends inside it, padded with zeros) and
+        each block is multiplied by the band in one product."""
+        p = self.p
         depth, columns = self.band.shape
         windows = max(len(x) - depth + p, 0)
         segments = -(-windows // p)
-        products = -(-segments // rows)
-        out = self.out(windows) if out is None else out[:products]
-        size = min(self.per_block, products)
+        out = self.out(windows) if out is None else out[:segments]
+        size = min(self.per_block, segments)
         if len(self.block) < size:
-            self.block = np.zeros((size, rows, depth))
+            self.block = np.zeros((size, depth))
         stride = x.strides[0]
         # Overlapping segments, P apart; the last one may run past x.
         whole = as_strided(x, (max((len(x) - depth) // p + 1, 0), depth),
                            (p * stride, stride), writeable=False)
-        flat = self.block[:size].reshape(-1, depth)
-        for first in range(0, products, max(size, 1)):
-            lo = first * rows
-            part = whole[lo:lo + len(flat)]
-            flat[:len(part)] = part
-            count = min(len(flat), segments - lo)
-            if len(part) < count:
+        for lo in range(0, segments, max(size, 1)):
+            block = self.block[:min(size, segments - lo)]
+            part = whole[lo:lo + len(block)]
+            block[:len(part)] = part
+            if len(part) < len(block):
                 tail = x[(lo + len(part)) * p:]
-                flat[len(part), :len(tail)] = tail
-                flat[len(part), len(tail):] = 0.0
-            used = -(-count // rows)
-            np.matmul(self.block[:used], self.band, out=out[first:first + used])
-        return out.reshape(products * rows * p, columns // p)[:windows]
+                block[-1, :len(tail)] = tail
+                block[-1, len(tail):] = 0.0
+            np.matmul(block, self.band, out=out[lo:lo + len(block)])
+        return out.reshape(segments * p, columns // p)[:windows]
 
 
 def window_products(samples: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Row i is x[i:i+M] @ matrix, for every full window of the samples,
     which must be 1-d and finite (else ValueError), through the matrix's
-    ``_Layout``.  Its products have one shape, the last one padded with
-    zeros or earlier segments; a zero of the band times a finite sample adds
-    nothing to another window's sum."""
+    ``_Layout``."""
     return _Layout(matrix)(_checked(samples))
 
 
 def window_power_sums(samples: np.ndarray, matrices) -> list:
     """For each of several M-row matrices, the sum of squares of each row of
-    the samples' ``window_products`` through it, from as few window passes
-    as fit; [] for no matrix.
+    the samples' ``window_products`` through it, from one window pass; []
+    for no matrix.
 
-    The matrices are packed left to right, each at its own width, into
-    passes of at most PRODUCT_MADDS // (M * SLAB_ROWS) columns, so every
-    product of a pass wider than BAND_WIDTH columns keeps SLAB_ROWS windows;
-    a narrower pass is banded, as ``window_products`` bands any narrow
-    matrix, and a matrix wider than the limit takes a pass of its own.  A
+    The matrices are laid side by side, each at its own width, in one
+    ``_Layout``, banded as ``window_products`` bands any narrow matrix.  A
     matrix's sums agree with those of it alone within the round-off of its
-    M-term products, whatever it is packed with.  The passes run
-    over consecutive slices of whole products of windows whose outputs take
-    at most RESIDUAL_BYTES (one product at least), into buffers that every
-    slice reuses, so what is held beyond the sums does not grow with the
-    input.  ValueError unless the samples are 1-d and finite.
+    M-term products, whatever it is laid beside.  The pass runs over
+    consecutive slices of windows whose outputs take at most RESIDUAL_BYTES,
+    into one buffer that every slice reuses, so what is held beyond the sums
+    does not grow with the input.  ValueError unless the samples are 1-d and
+    finite and the matrices have one row count.
     """
     x = _checked(samples)
     matrices = [np.asarray(matrix, dtype=float) for matrix in matrices]
     if not matrices:
         return []
-    m = matrices[0].shape[0]
-    limit = PRODUCT_MADDS // (m * SLAB_ROWS)
-    packs = []                  # [columns, members] of the packed passes
-    for i, matrix in enumerate(matrices):
-        width = matrix.shape[1]
-        if not packs or packs[-1][0] + width > limit:
-            packs.append([0, []])
-        packs[-1][1].append((i, packs[-1][0]))
-        packs[-1][0] += width
-    passes = []                 # (layout, [(matrix index, first column)])
-    for columns, members in packs:
-        stacked = np.zeros((m, columns))
-        for i, first in members:
-            stacked[:, first:first + matrices[i].shape[1]] = matrices[i]
-        passes.append((_Layout(stacked), members))
+    counts = sorted({len(matrix) for matrix in matrices})
+    if len(counts) > 1:
+        raise ValueError(f"matrices have {counts} rows; they need one window "
+                         "length")
+    m = counts[0]
+    layout = _Layout(np.hstack(matrices))
+    edges = np.cumsum([0] + [matrix.shape[1] for matrix in matrices])
     windows = max(len(x) - m + 1, 0)
-    # Product heights are powers of two, so the tallest is a multiple of all.
-    tallest = max(layout.p * layout.rows for layout, _ in passes)
-    held = max(sum(layout.width for layout, _ in passes), 1)
-    step = max(RESIDUAL_BYTES // (8 * held * tallest), 1) * tallest
-    outs = [layout.out(min(step, windows)) for layout, _ in passes]
+    step = max(RESIDUAL_BYTES // (8 * max(layout.width, 1)), 1)
+    out = layout.out(min(step, windows))
     sums = [np.empty(windows) for _ in matrices]
     for start in range(0, windows, step):
-        part = x[start:start + step + m - 1]
-        for (layout, members), out in zip(passes, outs):
-            rows = layout(part, out)
-            for i, first in members:
-                got = rows[:, first:first + matrices[i].shape[1]]
-                np.einsum("nk,nk->n", got, got,
-                          out=sums[i][start:start + len(got)])
+        rows = layout(x[start:start + step + m - 1], out)
+        for lo, hi, total in zip(edges, edges[1:], sums):
+            got = rows[:, lo:hi]
+            np.einsum("nk,nk->n", got, got, out=total[start:start + len(got)])
     return sums
 
 

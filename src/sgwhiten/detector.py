@@ -36,9 +36,9 @@ D <= Z, so every event is also a Z crossing.  The residual is the sum of
 squares of M - L FIR outputs, through the columns of a factor V of the
 residual form, V V' = W_s - W_s psi G^-1 psi' W_s, built from one Cholesky
 factor of W_s and one QR without forming the form.  ``residual_powers``
-gets the residuals of several filters from shared window passes
-(``analysis_bank.window_power_sums``); ``residual_power`` is its one-filter
-case.  The coefficient rows come from ``analysis_bank.run_bank`` alone.
+gets the residuals of several filters from one shared window pass
+(``analysis_bank.window_power_sums``).  The coefficient rows come from
+``analysis_bank.run_bank`` alone.
 
 The numerical contract is a round-off bound, not bits (see
 ``analysis_bank``): a residual alone or in a shared pass, a row's statistics
@@ -278,10 +278,10 @@ def residual_powers(samples: np.ndarray, transforms) -> list:
     window's M - L outputs through the transform's residual factor; [] for
     no transform.
 
-    All factors go through shared window passes (``window_power_sums``) over
-    bounded slices of windows, so what is held beyond the results does not
-    grow with the input.  Each power agrees with that transform's
-    ``residual_power`` alone within the round-off of its M-term products.
+    All factors go through one shared window pass (``window_power_sums``)
+    over bounded slices of windows, so what is held beyond the results does
+    not grow with the input.  Each power agrees with that transform's
+    residual alone within the round-off of its M-term products.
     """
     x = np.asarray(samples, dtype=float)
     factors = [transform.residual_factor for transform in transforms]
@@ -289,11 +289,6 @@ def residual_powers(samples: np.ndarray, transforms) -> list:
         raise ValueError(f"input length {len(x)} is shorter than the window "
                          f"{len(factors[0])}")
     return window_power_sums(x, factors)
-
-
-def residual_power(samples: np.ndarray, transform: OrthoTransform) -> np.ndarray:
-    """``residual_powers`` of one transform."""
-    return residual_powers(samples, [transform])[0]
 
 
 def _sum_squares(part: np.ndarray, out: np.ndarray, spare: np.ndarray) -> None:
@@ -407,7 +402,7 @@ def detection_statistics(coeffs: np.ndarray, transform: OrthoTransform,
                          masks: HypothesisMask = DEFAULT_MASKS,
                          epsilon: float = DEFAULT_EPSILON):
     """Z, Z in dB and D in dB of coefficient rows (samples, L), with
-    ``residual`` the ``residual_power`` series of the same windows, one
+    ``residual`` the ``residual_powers`` series of the same windows, one
     value per row.  Rows that are not 2-d are a ValueError."""
     coeffs = np.asarray(coeffs, dtype=float)
     residual = np.asarray(residual, dtype=float)
@@ -460,7 +455,7 @@ def detect(features: FeatureSeries, transform: OrthoTransform,
            pulse_extents=None) -> DetectionReport:
     """Run both statistics, threshold D, and assemble a report.
 
-    ``residual`` is the ``residual_power`` series of the samples behind
+    ``residual`` is the ``residual_powers`` series of the samples behind
     ``features``.  ``pulse_extents`` adds per-pulse peak SNR values of Z for
     ground-truth supports, each widened by the half window of the
     transform's M.

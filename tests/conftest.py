@@ -3,11 +3,12 @@
 ``filter_design.design`` keeps its recent results, so a test that patches
 what ``design`` calls must call ``fd.design.cache_clear()`` first.
 
-The session header names numpy's BLAS and the CPU kernels it picked at run
-time.  The kernel, statistic and detection tests assert round-off bounds
-(``roundoff.py``) that hold on every kernel; the golden-byte tests of
-``test_cli.py`` hold for the kernels the golden files were written with
-(OpenBLAS 0.3.31, SkylakeX).
+The session header names numpy's BLAS, the CPU kernels it picked at run
+time and the threads it may split a product between.  The kernel, statistic
+and detection tests assert round-off bounds (``roundoff.py``) that hold on
+every kernel and thread count; the golden-byte tests of ``test_cli.py`` hold
+for the kernels the golden files were written with (OpenBLAS 0.3.31,
+SkylakeX).
 """
 
 import ctypes
@@ -20,19 +21,33 @@ import sgwhiten as sg
 from sgwhiten.detector import build_ortho_transform
 
 
-def _blas_core() -> str:
-    """The CPU kernels of numpy's bundled scipy-openblas at run time, or
-    "unknown" where numpy bundles none or it does not say."""
+def _openblas(name: str, restype):
+    """A no-argument function of numpy's bundled scipy-openblas, or None
+    where numpy bundles none or it has no such function."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas*")):
         try:
-            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+            function = getattr(ctypes.CDLL(str(path)), name)
         except (OSError, AttributeError):
             continue
-        corename.argtypes = []
-        corename.restype = ctypes.c_char_p
-        return corename().decode()
-    return "unknown"
+        function.argtypes = []
+        function.restype = restype
+        return function
+    return None
+
+
+def _blas_core() -> str:
+    """The CPU kernels numpy's bundled OpenBLAS picked at run time, or
+    "unknown" where numpy bundles none or it does not say."""
+    corename = _openblas("scipy_openblas_get_corename64_", ctypes.c_char_p)
+    return "unknown" if corename is None else corename().decode()
+
+
+def _blas_threads() -> str:
+    """The threads numpy's bundled OpenBLAS may split a product between, or
+    "unknown" where numpy bundles none or it does not say."""
+    threads = _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    return "unknown" if threads is None else str(threads())
 
 
 def _blas_build() -> str:
@@ -46,7 +61,7 @@ def _blas_build() -> str:
 
 def pytest_report_header(config):
     return (f"numpy {np.__version__}, BLAS {_blas_build()}, "
-            f"BLAS core {_blas_core()}")
+            f"BLAS core {_blas_core()}, BLAS threads {_blas_threads()}")
 
 
 @pytest.fixture(scope="session")

@@ -181,10 +181,16 @@ def check_report(report, ref, gamma_db, offset, extents=None,
     if extents is not None:
         assert report.peak_snr_db == tuple(peak_snr(
             report.z_db, extents, offset, half_window)), what
-        low, high = (np.asarray(peak_snr(ref.z + sign * ref.z_bound, extents,
-                                         offset, half_window))
-                     for sign in (-1, 1))
-        peaks = 10.0 ** (np.asarray(report.peak_snr_db) / 10.0)
-        slack = DB_ULPS * UNIT * (1 + np.abs(report.peak_snr_db)) * peaks
-        assert np.all((low - slack <= peaks) & (peaks <= high + slack)), what
+        check_peaks(report.peak_snr_db, ref, extents, offset, half_window, what)
     return len(differ) > 0
+
+
+def check_peaks(peaks_db, ref, extents, offset, half_window, what=""):
+    """Peak SNRs (dB), read back, within the ``peak_snr`` peaks of the
+    reference Z less and plus its bound."""
+    low, high = (np.asarray(peak_snr(ref.z + sign * ref.z_bound, extents,
+                                     offset, half_window))
+                 for sign in (-1, 1))
+    peaks = 10.0 ** (np.asarray(peaks_db) / 10.0)
+    slack = DB_ULPS * UNIT * (1 + np.abs(peaks_db)) * peaks
+    assert np.all((low - slack <= peaks) & (peaks <= high + slack)), what

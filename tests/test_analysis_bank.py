@@ -30,15 +30,10 @@ def banks():
 
 
 def block_windows(m):
-    """Windows per copied block of the kernel for an L = 5 bank of width M."""
-    p, _, rows, per_block = slab_shape(m, 5)
-    return p * rows * per_block
-
-
-def product_windows(m):
-    """Windows per product of the kernel for an L = 5 bank of width M."""
-    p, _, rows, _ = slab_shape(m, 5)
-    return p * rows
+    """Windows per copied block, one product, of the kernel for an L = 5 bank
+    of width M."""
+    p, _, per_block = slab_shape(m, 5)
+    return p * per_block
 
 
 def one_window(window, h_matrix):
@@ -244,7 +239,9 @@ class TestRunBank:
     @pytest.mark.parametrize("label, m", [("A", 17), ("E", 257)])
     def test_every_row_equals_its_window_alone(self, label, m, banks, rng):
         h_matrix = banks[label, m].operators.h_matrix
-        x = rng.normal(size=block_windows(m) + product_windows(m) + m)
+        # A whole block, then one whole segment of 16 windows and part of
+        # another.
+        x = rng.normal(size=block_windows(m) + 21 + m)
         feats = run_bank(SampleSequence(values=x), h_matrix)
         bound = products_bound(x, h_matrix.T)
         for i, row in enumerate(feats.coeffs):
@@ -253,12 +250,14 @@ class TestRunBank:
 
 class TestStreaming:
     def test_identical_to_batch(self, plain, rng):
+        # One sample a push, against the batch run within the round-off
+        # bound of its M-term products.
         x = rng.normal(size=123)
         batch = run_bank(SampleSequence(values=x), plain.operators.h_matrix)
         stream = StreamingBank(plain.operators.h_matrix)
         collected = np.concatenate([stream.push(s) for s in x])
-        assert len(collected) == len(batch)
-        assert np.array_equal(collected, batch.coeffs)
+        assert_within(collected, batch.coeffs,
+                      products_bound(x, plain.operators.h_matrix.T))
 
     @pytest.mark.parametrize("label, m", [("A", 17), ("E", 17), ("F", 17),
                                           ("C", 65), ("E", 257)])
@@ -314,7 +313,8 @@ class TestStreaming:
             stream.push(chunk)
         rows = np.concatenate([head, stream.push(x[30:])])
         batch = run_bank(SampleSequence(values=x), plain.operators.h_matrix)
-        assert np.array_equal(rows, batch.coeffs)
+        assert_within(rows, batch.coeffs,
+                      products_bound(x, plain.operators.h_matrix.T))
 
 
 class TestNonFiniteSamples:

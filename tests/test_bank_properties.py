@@ -1,6 +1,6 @@
 """Property tests of the window kernel over random banks, lengths and
 chunkings, of its band layout against copied windows, and of shared passes
-over random preset packings."""
+over random choices of presets."""
 
 import functools
 
@@ -12,10 +12,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from roundoff import (assert_within, products_bound,  # noqa: E402
                       sum_squares_bound)
-from sgwhiten.analysis_bank import (PRODUCT_MADDS,  # noqa: E402
-                                    SLAB_ROWS, SampleSequence, StreamingBank,
-                                    run_bank, slab_shape, window_products)
-from sgwhiten.detector import residual_power, residual_powers  # noqa: E402
+from sgwhiten.analysis_bank import (RESIDUAL_BYTES,  # noqa: E402
+                                    SampleSequence, StreamingBank, run_bank,
+                                    slab_shape, window_products)
+from sgwhiten.detector import residual_powers  # noqa: E402
 from sgwhiten.filter_design import PRESET_LABELS, design_preset  # noqa: E402
 from sgwhiten.sim_harness import SCENARIOS, build_trace  # noqa: E402
 
@@ -26,8 +26,8 @@ def banks_and_inputs(draw):
     of chunk sizes."""
     m = 2 * draw(st.integers(1, 64)) + 1
     l = draw(st.integers(1, m))
-    p, _, rows, per_block = slab_shape(m, l)
-    block = p * rows * per_block
+    p, _, per_block = slab_shape(m, l)
+    block = p * per_block
     n = m - 1 + draw(st.integers(1, 3 * block))
     sizes = draw(st.lists(st.integers(1, 5000), min_size=1, max_size=20))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -63,12 +63,12 @@ def test_rows_equal_convolution_and_streaming_equals_batch(case):
 def narrow_matrices_and_inputs(draw):
     """An M x width matrix, width 1-8, M odd, half the time up to 129 and
     half the time up to 1025; an input whose window count straddles a
-    segment, product or block boundary; and the sizes of the first chunks
-    of a stream."""
+    segment or block boundary; and the sizes of the first chunks of a
+    stream."""
     width = draw(st.integers(1, 8))
     m = 2 * draw(st.integers(1, draw(st.sampled_from([64, 512])))) + 1
-    p, _, rows, per_block = slab_shape(m, width)
-    unit = draw(st.sampled_from([p, p * rows, p * rows * per_block]))
+    p, _, per_block = slab_shape(m, width)
+    unit = draw(st.sampled_from([p, p * per_block]))
     windows = max(unit * draw(st.integers(1, 3)) + draw(st.integers(-2, 2)), 1)
     sizes = draw(st.lists(st.integers(1, 3000), min_size=1, max_size=12))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -78,7 +78,7 @@ def narrow_matrices_and_inputs(draw):
 @settings(max_examples=80, deadline=None)
 @given(narrow_matrices_and_inputs())
 def test_band_rows_equal_copied_windows(case):
-    # However the windows fall on segments, products and blocks, and however
+    # However the windows fall on segments and blocks, and however
     # a stream is chunked, every row of a matrix of width 1-8 is the product
     # of its copied window with the matrix, within the round-off bound.
     matrix, x, sizes = case
@@ -95,12 +95,12 @@ def test_band_rows_equal_copied_windows(case):
 
 @functools.cache
 def _preset(label, m, l=5):
-    # design keeps 8 designs; the packings draw from 66.
+    # design keeps 8 designs; the preset choices draw from 66.
     return design_preset(label, m=m, l=l)
 
 
 @st.composite
-def packings(draw):
+def preset_choices(draw):
     """Presets in a random subset and order at one window length and order
     L, and the traces of one scenario laid end to end."""
     m = draw(st.sampled_from([9, 13, 17, 33]))
@@ -125,31 +125,31 @@ def residual_bound(x, factor):
 
 
 @settings(max_examples=60, deadline=None)
-@given(packings())
+@given(preset_choices())
 def test_shared_pass_equals_each_filter_alone(case):
     # However the filters are chosen and ordered, a shared pass gives each
-    # one the residual of residual_power of that filter alone, within the
-    # round-off bound.
+    # one the residual of that filter alone, within the round-off bound.
     filters, x = case
     powers = residual_powers(x, [filt.transform for filt in filters])
     for filt, power in zip(filters, powers):
         want, bound = residual_bound(x, filt.transform.residual_factor)
         assert_within(power, want, bound)
-        assert_within(residual_power(x, filt.transform), want, bound)
+        assert_within(residual_powers(x, [filt.transform])[0], want, bound)
 
 
 @pytest.mark.parametrize("m", [65, 257])
-def test_wide_residual_factor_runs_alone_unpadded(m):
-    # At M = 65 and 257 two residual factors do not fit one pass of
-    # SLAB_ROWS-window products, so each takes a pass of its own at its own
-    # width, as residual_power runs it: within the round-off bound of its
-    # window products alone or in a call with other filters.
+def test_wide_residual_factors_share_one_pass(m):
+    # At M = 65 and 257 the residual factors are too wide to band, so two of
+    # them share one pass of one window a row, each at its own width, over
+    # two whole slices of windows and part of a third: within the round-off
+    # bound of its window products alone or in a call with other filters.
     filters = [_preset(lab, m) for lab in ("E", "A")]
-    x = np.random.default_rng(m).normal(size=3 * m + 200)
+    columns = sum(filt.transform.residual_factor.shape[1] for filt in filters)
+    assert slab_shape(m, columns)[:2] == (1, columns)
+    step = RESIDUAL_BYTES // (8 * columns)
+    x = np.random.default_rng(m).normal(size=2 * step + 3 * m + 200)
     powers = residual_powers(x, [filt.transform for filt in filters])
     for filt, power in zip(filters, powers):
-        factor = filt.transform.residual_factor
-        assert 2 * factor.shape[1] > PRODUCT_MADDS // (m * SLAB_ROWS)
-        want, bound = residual_bound(x, factor)
+        want, bound = residual_bound(x, filt.transform.residual_factor)
         assert_within(power, want, bound)
-        assert_within(residual_power(x, filt.transform), want, bound)
+        assert_within(residual_powers(x, [filt.transform])[0], want, bound)

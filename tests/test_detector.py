@@ -8,18 +8,19 @@ import numpy as np
 import pytest
 
 import sgwhiten as sg
-from sgwhiten.analysis_bank import (BLOCK_BYTES, RESIDUAL_BYTES, SLAB_ROWS,
+from sgwhiten.analysis_bank import (BLOCK_BYTES, RESIDUAL_BYTES,
                                     FeatureSeries, SampleSequence, run_bank,
                                     window_power_sums, window_products)
 from sgwhiten.detector import (DEFAULT_MASKS, STAT_ROWS, HypothesisMask,
                                build_ortho_transform,
                                compute_statistic, detect,
                                detection_statistics, peak_snr,
-                               residual_power, residual_powers,
+                               residual_powers,
                                threshold_detect, to_decibels)
 from sgwhiten.errors import NotPositiveDefiniteError
 
-from roundoff import assert_within, check_statistics, statistics
+from roundoff import (assert_within, check_statistics, products_bound,
+                      statistics, sum_squares_bound)
 
 # Regression value computed once from a deterministic noise-free run: a
 # 17-sample quadratic pulse of amplitude 10 on a zero baseline, plain preset.
@@ -318,20 +319,29 @@ class TestNoiseCorrection:
             e = windows - feats.coeffs @ filt.operators.psi.T
             direct = np.einsum("nm,mk,nk->n", e, tr.w_scaled, e)
             total = np.einsum("nm,mk,nk->n", windows, tr.w_scaled, windows)
-            assert np.abs(residual_power(x, tr) - direct).max() <= 1e-9 * total.max()
+            residual = residual_powers(x, [tr])[0]
+            assert np.abs(residual - direct).max() <= 1e-9 * total.max()
 
     def test_residual_slices_equal_one_pass(self, transforms, rng):
-        # Three full slices of windows and a partial fourth, against one pass
-        # through the factor padded with zero columns to a multiple of 8.
+        # Three full slices of windows and a partial fourth, against the
+        # factor's window products, within the round-off bound.
         tr = transforms["E"]
         m, width = tr.residual_factor.shape
-        padded = np.zeros((m, -(-width // 8) * 8))
-        padded[:, :width] = tr.residual_factor
-        per_slice = RESIDUAL_BYTES // (8 * padded.shape[1] * SLAB_ROWS) * SLAB_ROWS
-        x = rng.normal(size=3 * per_slice + 100 + 16)
-        out = window_products(x, padded)[:, :width]
-        assert np.array_equal(residual_power(x, tr),
-                              np.einsum("nk,nk->n", out, out))
+        per_slice = RESIDUAL_BYTES // (8 * width)
+        x = rng.normal(size=3 * per_slice + 100 + m - 1)
+        out = window_products(x, tr.residual_factor)
+        assert_within(residual_powers(x, [tr])[0],
+                      np.einsum("nk,nk->n", out, out),
+                      sum_squares_bound(out, products_bound(x, tr.residual_factor)))
+
+    def test_factors_of_other_window_lengths_rejected(self, transforms):
+        # Matrices of different row counts would broadcast into sums of the
+        # wrong windows.
+        with pytest.raises(ValueError, match=r"\[1, 17\] rows"):
+            window_power_sums(np.zeros(40), [np.ones((17, 2)), np.ones((1, 3))])
+        wide = sg.design_preset("A", m=33).transform
+        with pytest.raises(ValueError, match=r"\[17, 33\] rows"):
+            residual_powers(np.zeros(80), [transforms["A"], wide])
 
     @pytest.mark.parametrize("label", ["A", "B", "C", "F"])
     def test_noise_share_is_unbiased_under_the_model(self, label, presets,
@@ -376,7 +386,7 @@ class TestNoiseCorrection:
         x = np.zeros(400)
         x[200] = bad
         with pytest.raises(ValueError, match="NaN or infinity"):
-            residual_power(x, transforms["A"])
+            residual_powers(x, [transforms["A"]])
 
     def test_input_shorter_than_the_window_rejected(self, transforms):
         with pytest.raises(ValueError, match="shorter than the window"):
@@ -389,13 +399,13 @@ class TestNoiseCorrection:
     def test_exact_fit_has_no_residual(self):
         tr = build_ortho_transform(sg.build_vandermonde(5, 5), np.eye(5))
         assert tr.mask_factors(DEFAULT_MASKS).share == 0.0
-        assert np.all(residual_power(np.arange(12.0) ** 3, tr) <= 1e-6)
+        assert np.all(residual_powers(np.arange(12.0) ** 3, [tr])[0] <= 1e-6)
 
     def test_events_are_decision_crossings_below_z(self, presets, transforms):
         trace = sg.build_trace("mismatched-colored", seed=8, amplitude=10.0)
         filt = presets["F"]
         feats = run_bank(SampleSequence(values=trace.x), filt.operators.h_matrix)
-        residual = residual_power(trace.x, transforms["F"])
+        residual = residual_powers(trace.x, [transforms["F"]])[0]
         report = detect(feats, transforms["F"], residual)
         z_events = threshold_detect(report.z_db, 20.0, offset=8)
         assert np.all(report.decision_db <= report.z_db)
@@ -441,7 +451,8 @@ class TestThreshold:
         feats = run_bank(SampleSequence(values=trace.x),
                          presets["A"].operators.h_matrix)
         with pytest.raises(ValueError, match="gamma_db"):
-            detect(feats, transforms["A"], residual_power(trace.x, transforms["A"]),
+            detect(feats, transforms["A"],
+                   residual_powers(trace.x, [transforms["A"]])[0],
                    gamma_db=gamma_db)
 
 
@@ -504,7 +515,8 @@ class TestPeakSnr:
         pulse = sg.sim_harness.quadratic_pulse(17, 10.0)
         x = np.concatenate([np.zeros(51), pulse, np.zeros(51)])
         feats = run_bank(SampleSequence(values=x), presets["A"].operators.h_matrix)
-        report = detect(feats, transforms["A"], residual_power(x, transforms["A"]),
+        report = detect(feats, transforms["A"],
+                        residual_powers(x, [transforms["A"]])[0],
                         pulse_extents=[(51, 68)])
         assert report.peak_snr_db[0] == pytest.approx(NOISE_FREE_MEDIUM_PEAK_DB,
                                                       abs=1e-9)
@@ -516,7 +528,7 @@ class TestDetectPipeline:
         feats = run_bank(SampleSequence(values=trace.x),
                          presets["A"].operators.h_matrix)
         report = detect(feats, transforms["A"],
-                        residual_power(trace.x, transforms["A"]),
+                        residual_powers(trace.x, [transforms["A"]])[0],
                         pulse_extents=trace.extents())
         assert len(report.peak_snr_db) == 5
         assert report.offset == 8

@@ -15,7 +15,7 @@ from sgwhiten.detector import (DEFAULT_EPSILON, DEFAULT_MASKS, HypothesisMask,
                                build_ortho_transform, compute_statistic,
                                peak_snr, to_decibels)
 
-from roundoff import check_report, trace_statistics
+from roundoff import check_peaks, check_report, trace_statistics
 
 
 class TestPulseTrain:
@@ -476,18 +476,17 @@ class TestCalibration:
                              ids=["m17", "m17-short-gap", "m33", "m33-short-gap"])
     def test_read_span_peaks_equal_whole_trace_peaks(self, m, gap):
         filt = fd.design_preset("A", m=m, l=5, d=0)
-        tr = build_ortho_transform(filt.operators.psi, filt.operators.weight.matrix)
         seeds = (0, 7, 3, 12, 5)
         peaks = sim._medium_peaks(filt, [sim.build_trace("low-white", s, gap=gap)
                                          for s in seeds], gap)
+        # Each read span peak within the whole trace's peak of Z less and
+        # plus the round-off bound of its products.
         for amplitude in (0.1, 0.73, 4.2, 10.0, 61.5, 1000.0):
-            whole = []
-            for seed in seeds:
+            got = peaks(amplitude)
+            assert got.shape == (len(seeds),)
+            for peak, seed in zip(got, seeds):
                 trace = sim.build_trace("low-white", seed, amplitude=amplitude,
                                         gap=gap)
-                feats = run_bank(SampleSequence(values=trace.x),
-                                 filt.operators.h_matrix)
-                whole += peak_snr(to_decibels(compute_statistic(feats, tr)),
-                                  trace.extents(["quad-medium"]), feats.offset,
-                                  filt.half_length)
-            assert peaks(amplitude).tolist() == whole
+                check_peaks([peak], trace_statistics(filt, trace),
+                            trace.extents(["quad-medium"]), filt.half_length,
+                            filt.half_length, (amplitude, seed))

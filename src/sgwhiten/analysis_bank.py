@@ -5,7 +5,7 @@ ever applied, and the half-window group delay is carried as alignment
 metadata instead.  The bank runs all L analysis rows at once, producing a
 per-sample vector of local monomial coefficient estimates from which a
 polynomial segment can be re-synthesized.  One kernel serves the bank,
-streamed chunks and the detector's residual factors: ``window_products``
+streamed chunks and the detector's window matrices: ``window_products``
 runs one matrix, ``StreamingBank`` keeps one matrix's layout across chunks,
 and ``window_power_sums`` runs several matrices side by side in one pass and
 keeps only each window's sum of squares.  Coefficient rows come from

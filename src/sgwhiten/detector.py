@@ -17,9 +17,9 @@ background ones and C_F, C_B upper-triangular factors of the blocks
     p1 = |C_F a_F|^2 = |U a1|^2        p0 = |C_B a_B|^2 = |U a0|^2
 
 which for the default mask is p1 = G_22 a_2^2.  The factors are kept on the
-transform per mask, side by side in one L x (|F| + |B|) matrix.  The
-statistic runs over the rows in blocks of at most ``STAT_ROWS``, one product
-with that matrix each, and writes each block straight into its outputs.
+transform per mask, side by side in one L x (|F| + |B|) matrix, which bank
+rows take in blocks of at most ``STAT_ROWS``.  Folded into the analysis
+matrix (``OrthoTransform.window_factors``) it gives p1 and p0 of windows.
 Z, the fitted foreground to background ratio, is the per-pulse peak SNR.  D
 is the detection statistic: its numerator is the foreground power less the
 share that noise alone puts there.  Under the filter's noise model (noise
@@ -35,15 +35,15 @@ where the metric makes the quadratic column nearly collinear with the others
 D <= Z, so every event is also a Z crossing.  The residual is the sum of
 squares of M - L FIR outputs, through the columns of a factor V of the
 residual form, V V' = W_s - W_s psi G^-1 psi' W_s, built from one Cholesky
-factor of W_s and one QR without forming the form.  ``residual_powers``
-gets the residuals of several filters from one shared window pass
-(``analysis_bank.window_power_sums``).  The coefficient rows come from
-``analysis_bank.run_bank`` alone.
+factor of W_s and one QR without forming the form.  So p1, p0 and r of
+several filters come from one window pass over their [H'C_F, H'C_B, V]
+(``analysis_bank.window_power_sums``).
 
 The numerical contract is a round-off bound, not bits (see
-``analysis_bank``): a residual alone or in a shared pass, a row's statistics
-in any block, and a trace's reports alone or batched agree within the bound
-of their products, carried through the sums of squares, on every BLAS kernel.
+``analysis_bank``): powers alone or in a shared pass, from rows or windows,
+a row's statistics in any block, and a trace's reports alone or batched
+agree within the bound of their products, carried through the sums of
+squares, on every BLAS kernel.
 
 W is first rescaled to unit maximum element.  Both ratios are unchanged by
 the scale of W except through eps, so the rescaling fixes the scale the
@@ -54,11 +54,11 @@ preset A's background power but 1-2 % of preset C's.
 Crossings of a decibel threshold by D become detection events; with
 ground-truth pulse extents the per-pulse peak of Z can be extracted.
 
-Detection is two steps: ``detection_statistics`` computes Z and D for the
-coefficient rows of one series, 2-d (samples, L), and ``build_reports``
-thresholds each series of a stack (traces, samples) of its outputs and takes
-its peaks.  ``detect`` is the one-series case.  ``compute_statistic`` is Z
-alone, and ``threshold_detect`` is the one crossing rule, for Z or D.
+Detection is two steps: ``detection_statistics`` computes Z and D from the
+powers, and ``build_reports`` thresholds each series of a stack (traces,
+samples) of its outputs and takes its peaks.  ``detect`` is the one-series
+case for bank rows, ``compute_statistic`` Z alone of bank rows, and
+``threshold_detect`` the one crossing rule, for Z or D.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ import numbers
 
 import numpy as np
 
-from .analysis_bank import FeatureSeries, _freeze, window_power_sums
+from .analysis_bank import FeatureSeries, _freeze
 from .errors import NotPositiveDefiniteError
 
 DEFAULT_EPSILON = 1e-3
@@ -204,6 +204,14 @@ class OrthoTransform:
                                              share=share)
         return self._masks[masks]
 
+    def window_factors(self, h_matrix: np.ndarray, masks: HypothesisMask):
+        """H'C_F and H'C_B (M x |F|, M x |B|) of an L x M analysis matrix H
+        and a mask: a window x's products through them are its bank row
+        x H' through C_F and C_B, whose sums of squares are p1 and p0."""
+        factors = self.mask_factors(masks)
+        fused = np.asarray(h_matrix, dtype=float).T @ factors.joined
+        return fused[:, :factors.split], fused[:, factors.split:]
+
     @cached_property
     def residual_factor(self) -> np.ndarray:
         """M x (M - L) factor V of the residual form
@@ -271,26 +279,6 @@ def build_ortho_transform(psi: np.ndarray, weight: np.ndarray) -> OrthoTransform
                           psi=np.array(psi, dtype=float))
 
 
-def residual_powers(samples: np.ndarray, transforms) -> list:
-    """For each transform, the whitened residual power e' W_s e of the
-    polynomial fit to every full window of the samples, aligned with the
-    bank's feature series over the same samples: the sum of squares of the
-    window's M - L outputs through the transform's residual factor; [] for
-    no transform.
-
-    All factors go through one shared window pass (``window_power_sums``)
-    over bounded slices of windows, so what is held beyond the results does
-    not grow with the input.  Each power agrees with that transform's
-    residual alone within the round-off of its M-term products.
-    """
-    x = np.asarray(samples, dtype=float)
-    factors = [transform.residual_factor for transform in transforms]
-    if factors and len(x) < len(factors[0]):
-        raise ValueError(f"input length {len(x)} is shorter than the window "
-                         f"{len(factors[0])}")
-    return window_power_sums(x, factors)
-
-
 def _sum_squares(part: np.ndarray, out: np.ndarray, spare: np.ndarray) -> None:
     """Row sums of squares of ``part``'s columns into ``out``, one pass over
     the rows per column, each square after the first added through
@@ -304,17 +292,19 @@ def _sum_squares(part: np.ndarray, out: np.ndarray, spare: np.ndarray) -> None:
         out.fill(0.0)
 
 
-def _powers(coeffs: np.ndarray, transform: OrthoTransform,
-            masks: HypothesisMask, epsilon: float):
-    """Foreground power p1 = |C_F a_F|^2 = |U a1|^2 and guarded background
-    power p0 + eps, p0 = |C_B a_B|^2 = |U a0|^2, of coefficient rows
-    (samples, L), a block of at most ``STAT_ROWS`` rows at a time.  Yields
-    each block's row slice with its p1 and p0 + eps, in buffers that the next
-    block reuses.  A row's powers depend on its block only through the
-    round-off of its L-term products (see README)."""
+def _guard(epsilon: float) -> float:
+    """The guard eps of Z's and D's denominator, if positive and finite."""
     if not 0 < epsilon < math.inf:
         raise ValueError(f"denominator guard epsilon must be positive and "
                          f"finite, got {epsilon!r}")
+    return epsilon
+
+
+def _powers(coeffs: np.ndarray, transform: OrthoTransform,
+            masks: HypothesisMask):
+    """Yields the row slice, p1 = |C_F a_F|^2 and p0 = |C_B a_B|^2 of each
+    block of at most ``STAT_ROWS`` coefficient rows (samples, L), in buffers
+    the next block reuses; a block moves a row's powers by round-off only."""
     if coeffs.ndim != 2:
         raise ValueError(f"coefficient rows must be 2-d, got shape {coeffs.shape}")
     factors = transform.mask_factors(masks)
@@ -326,11 +316,9 @@ def _powers(coeffs: np.ndarray, transform: OrthoTransform,
         block = coeffs[start:start + rows]
         count = len(block)
         part = np.matmul(block, factors.joined, out=product[:count])
-        fore_power, back_power = p1[:count], p0[:count]
-        _sum_squares(part[:, :split], fore_power, spare[:count])
-        _sum_squares(part[:, split:], back_power, spare[:count])
-        back_power += epsilon
-        yield slice(start, start + count), fore_power, back_power
+        _sum_squares(part[:, :split], p1[:count], spare[:count])
+        _sum_squares(part[:, split:], p0[:count], spare[:count])
+        yield slice(start, start + count), p1[:count], p0[:count]
 
 
 def compute_statistic(features, transform: OrthoTransform,
@@ -346,8 +334,9 @@ def compute_statistic(features, transform: OrthoTransform,
     """
     coeffs = np.asarray(getattr(features, "coeffs", features), dtype=float)
     z = np.empty(coeffs.shape[:-1])
-    for at, p1, denominator in _powers(coeffs, transform, masks, epsilon):
-        np.divide(p1, denominator, out=z[at])
+    epsilon = _guard(epsilon)
+    for at, p1, p0 in _powers(coeffs, transform, masks):
+        np.divide(p1, np.add(p0, epsilon, out=p0), out=z[at])
     return z
 
 
@@ -397,29 +386,26 @@ def peak_snr(z_db: np.ndarray, extents, offset: int, half_window: int) -> list:
     return peaks
 
 
-def detection_statistics(coeffs: np.ndarray, transform: OrthoTransform,
-                         residual: np.ndarray,
-                         masks: HypothesisMask = DEFAULT_MASKS,
-                         epsilon: float = DEFAULT_EPSILON):
-    """Z, Z in dB and D in dB of coefficient rows (samples, L), with
-    ``residual`` the ``residual_powers`` series of the same windows, one
-    value per row.  Rows that are not 2-d are a ValueError."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    residual = np.asarray(residual, dtype=float)
-    if residual.shape != coeffs.shape[:-1]:
-        raise ValueError(f"residual has shape {residual.shape}, features "
-                         f"{coeffs.shape[:-1]}; both must cover the same windows")
-    share = transform.mask_factors(masks).share
-    z, z_db, decision_db = (np.empty(residual.shape) for _ in range(3))
+def detection_statistics(p1: np.ndarray, p0: np.ndarray, residual: np.ndarray,
+                         share: float, epsilon: float = DEFAULT_EPSILON):
+    """Z, Z in dB and D in dB of foreground, background and residual powers
+    p1, p0 and r of one shape, ``share`` the mask's noise share nu: Z = p1 /
+    (p0 + eps), D = max(p1 - nu r, 0) / (p0 + eps).  Allocates only its
+    outputs.  ``epsilon`` must be positive and finite."""
+    p1, p0, residual = (np.asarray(a, dtype=float) for a in (p1, p0, residual))
+    if not p1.shape == p0.shape == residual.shape:
+        raise ValueError(f"powers of shapes {p1.shape}, {p0.shape} and "
+                         f"{residual.shape} must cover the same windows")
+    z, z_db, decision_db = (np.empty(p1.shape) for _ in range(3))
+    # The denominator lives in D's output until D's ratio is complete.
+    denominator = np.add(p0, _guard(epsilon), out=decision_db)
+    np.divide(p1, denominator, out=z)
+    d = np.multiply(residual, share, out=z_db)
+    np.maximum(np.subtract(p1, d, out=d), 0.0, out=d)
+    np.divide(d, denominator, out=d)
     with np.errstate(divide="ignore"):
-        for at, p1, denominator in _powers(coeffs, transform, masks, epsilon):
-            decibels = np.log10(np.divide(p1, denominator, out=z[at]),
-                                out=z_db[at])
-            decibels *= 10.0
-            d = np.multiply(residual[at], share, out=decision_db[at])
-            np.maximum(np.subtract(p1, d, out=d), 0.0, out=d)
-            np.log10(np.divide(d, denominator, out=d), out=d)
-            d *= 10.0
+        np.multiply(np.log10(d, out=decision_db), 10.0, out=decision_db)
+        np.multiply(np.log10(z, out=z_db), 10.0, out=z_db)
     return z, z_db, decision_db
 
 
@@ -455,13 +441,15 @@ def detect(features: FeatureSeries, transform: OrthoTransform,
            pulse_extents=None) -> DetectionReport:
     """Run both statistics, threshold D, and assemble a report.
 
-    ``residual`` is the ``residual_powers`` series of the samples behind
-    ``features``.  ``pulse_extents`` adds per-pulse peak SNR values of Z for
-    ground-truth supports, each widened by the half window of the
-    transform's M.
+    ``residual`` is the residual power of each window behind ``features``.
+    ``pulse_extents`` adds per-pulse peak SNR values of Z for ground-truth
+    supports, each widened by the half window of the transform's M.
     """
-    stats = detection_statistics(features.coeffs, transform, residual, masks,
-                                 epsilon)
+    p1, p0 = (np.empty(len(features.coeffs)) for _ in range(2))
+    for at, fore, back in _powers(features.coeffs, transform, masks):
+        p1[at], p0[at] = fore, back
+    stats = detection_statistics(p1, p0, residual,
+                                 transform.mask_factors(masks).share, epsilon)
     return build_reports(*(series[None] for series in stats), features.offset,
                          gamma_db, pulse_extents,
                          (transform.w_scaled.shape[0] - 1) // 2)[0]

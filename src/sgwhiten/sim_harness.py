@@ -20,20 +20,19 @@ The experiment runner designs every preset (``filter_design.design`` keeps
 the designs, and each filter its detector transform, so repeat runs reuse
 both), builds the (scenario, seed) traces in groups of bounded size, and
 runs all presets over a group in one ``detect_traces`` call: the traces, of
-one length, are laid end to end, one shared window pass gives every
-preset's residual and one bank pass each preset's coefficient rows, the
-statistics run over those rows, and ``_by_trace``, the one place that knows
-the layout, splits them by trace and drops the rows whose windows straddle
+one length, are laid end to end, one window pass gives every preset's
+powers (``detector``), and ``_by_trace``, the one place that knows the
+layout, splits the statistics by trace and drops the windows that straddle
 two traces.  It aggregates a scenarios-by-filters matrix of medium-pulse
 peak SNRs (peaks of the fitted ratio Z), in the shape of a standard
 comparison table.  Detection patterns count crossings of the
-noise-corrected statistic D, which needs the trace samples as well as the
-bank's coefficients (see ``detector``).  Amplitude calibration bisects over
-pulse amplitudes 0.1 to 1000 and reads only the Z peak of the medium pulse:
-it builds each seed's trace once and, per bisection step, recomposes only
-the samples that peak reads, for all seeds in one bank pass.  Both give the
-results of whole traces analysed one at a time within the round-off bound
-of their products (``analysis_bank``).
+noise-corrected statistic D (see ``detector``).  Amplitude calibration
+bisects over pulse amplitudes 0.1 to 1000 and reads only the Z peak of the
+medium pulse: it builds each seed's trace once and, per bisection step,
+recomposes only the samples that peak reads, for all seeds in one window
+pass that gives p1 and p0 alone.  Both give the results of whole traces
+analysed one at a time within the round-off bound of their products
+(``analysis_bank``).
 """
 
 from __future__ import annotations
@@ -46,11 +45,10 @@ import math
 import numpy as np
 
 from . import filter_design as fd
-from .analysis_bank import SampleSequence, _freeze, run_bank
+from .analysis_bank import _freeze, window_power_sums
 from .detector import (DEFAULT_EPSILON, DEFAULT_GAMMA_DB, DEFAULT_MASKS,
                        DetectionReport, HypothesisMask, build_reports,
-                       compute_statistic, detection_statistics,
-                       residual_powers, to_decibels)
+                       detection_statistics)
 
 SCENARIOS = ("low-white", "high-white", "matched-colored", "mismatched-colored")
 
@@ -250,12 +248,11 @@ def detect_traces(filters, traces, gamma_db: float = DEFAULT_GAMMA_DB,
                   epsilon: float = DEFAULT_EPSILON,
                   masks: HypothesisMask = DEFAULT_MASKS) -> dict:
     """Full pipeline for filters of one window length M over traces of one
-    length and pulse layout: over the traces end to end, one shared window
-    pass gives every filter's residual (``residual_powers``) and ``run_bank``
-    each filter's bank rows, the statistics run on those rows as they come,
-    and ``_by_trace`` splits them into one report per trace and filter.
-    ``filters`` maps labels to ``DesignedFilter``s; the result maps each
-    label to its reports, in trace order.
+    length and pulse layout: over the traces end to end, one window pass
+    through every filter's [H'C_F, H'C_B, V] gives its powers p1, p0 and r,
+    and ``_by_trace`` splits their statistics into reports.  ``filters``
+    maps labels to ``DesignedFilter``s; the result maps each label to its
+    reports, one per trace, in trace order.
 
     Each report agrees with a run of its filter over its trace alone within
     the round-off bound of its products (see README).  Raises ValueError when
@@ -272,14 +269,16 @@ def detect_traces(filters, traces, gamma_db: float = DEFAULT_GAMMA_DB,
     if any(trace.extents() != extents for trace in traces[1:]):
         raise ValueError("traces detected together must share their pulse layout")
     (m,) = lengths
-    x = SampleSequence(values=_end_to_end(np.stack([t.x for t in traces]), m))
-    residuals = residual_powers(x.values, [filt.transform
-                                           for filt in filters.values()])
+    matrices = [matrix for filt in filters.values() for matrix in (
+        *filt.transform.window_factors(filt.operators.h_matrix, masks),
+        filt.transform.residual_factor)]
+    sums = window_power_sums(_end_to_end(np.stack([t.x for t in traces]), m),
+                             matrices)
     reports = {}
-    for (label, filt), residual in zip(filters.items(), residuals):
-        stats = detection_statistics(run_bank(x, filt.operators.h_matrix).coeffs,
-                                     filt.transform, residual, masks=masks,
-                                     epsilon=epsilon)
+    for k, (label, filt) in enumerate(filters.items()):
+        stats = detection_statistics(*sums[3 * k:3 * k + 3],
+                                     filt.transform.mask_factors(masks).share,
+                                     epsilon)
         reports[label] = build_reports(*(_by_trace(series, len(traces), m)
                                          for series in stats),
                                        filt.half_length, gamma_db, extents,
@@ -355,8 +354,8 @@ def run_experiment(scenarios=SCENARIOS, labels=fd.PRESET_LABELS, m: int = 17,
                    masks: HypothesisMask = DEFAULT_MASKS,
                    sink=None) -> ExperimentResult:
     """Design the presets once, then build the (scenario, seed) traces in
-    groups of at most about GROUP_BYTES of stacks and run all presets over a
-    group in one ``detect_traces`` call, one shared window pass.
+    groups of at most about GROUP_BYTES and run all presets over a group in
+    one ``detect_traces`` call, one window pass.
 
     Per seed and filter the medium-pulse peak SNR and the detection pattern
     (which pulses crossed the threshold, whether anything crossed at all) are
@@ -376,9 +375,9 @@ def run_experiment(scenarios=SCENARIOS, labels=fd.PRESET_LABELS, m: int = 17,
     filters = {lab: fd.design_preset(lab, m=m, l=l, d=0) for lab in labels}
     cases = [(scenario, seed) for scenario in scenarios for seed in seeds]
     # Floats a group holds per sample: the trace, its components and their
-    # end-to-end copy, and per preset L bank rows, a residual and 3 report series.
+    # end-to-end copy, and per preset p1, p0, r and 3 report series.
     num = len(gen_pulse_train(amplitude, gap)[0])
-    size = max(GROUP_BYTES // (8 * num * ((l + 4) * len(labels) + 16)), 1)
+    size = max(GROUP_BYTES // (8 * num * (6 * len(labels) + 16)), 1)
 
     half = (m - 1) // 2
     medium = PULSE_KINDS.index(MEDIUM)
@@ -433,7 +432,7 @@ def _medium_peaks(filt: fd.DesignedFilter, traces, gap: int):
     The traces are built once; a call recomposes only the samples
     [start - 2K, stop + 2K) that the windows centred within K of the medium
     pulse read, for all traces at once and in ``build_trace``'s order, and
-    runs one bank pass over them.
+    runs one window pass over them for p1 and p0 of the default mask.
     """
     m = filt.spec.m
     start, stop = traces[0].extents([MEDIUM])[0]
@@ -441,14 +440,17 @@ def _medium_peaks(filt: fd.DesignedFilter, traces, gap: int):
     read = slice(max(start - reach, 0), min(stop + reach, len(traces[0].x)))
     parts = {name: np.stack([trace.components[name][read] for trace in traces])
              for name in traces[0].components}
+    matrices = filt.transform.window_factors(filt.operators.h_matrix,
+                                             DEFAULT_MASKS)
 
     def peaks(amplitude: float) -> np.ndarray:
         # Only the pulses scale with the amplitude; they stay the first part.
         parts["pulses"] = gen_pulse_train(amplitude, gap)[0][read]
-        x = _end_to_end(_compose(parts.values()), m)
-        z = compute_statistic(run_bank(SampleSequence(values=x),
-                                       filt.operators.h_matrix), filt.transform)
-        return _by_trace(to_decibels(z), len(traces), m).max(axis=1)
+        p1, p0 = window_power_sums(_end_to_end(_compose(parts.values()), m),
+                                   matrices)
+        # Z dB alone: no residual and no noise share.
+        z_db = detection_statistics(p1, p0, np.zeros_like(p1), 0.0)[1]
+        return _by_trace(z_db, len(traces), m).max(axis=1)
 
     return peaks
 

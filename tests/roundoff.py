@@ -7,7 +7,9 @@ two computations of it, by two BLAS kernels, layouts, blocks or packings,
 differ by at most 2 gamma_n sum|h||x|.  These helpers carry that bound
 through the sums of squares of the residual and the statistic, in the
 first-order form of ``perfbench/reference.py``'s ``reference_z``, and check
-a program's outputs against a spelled-out reference within it.
+a program's outputs against a spelled-out reference within it.  The
+reference takes the rows path, bank rows a = x H' and then a C; the program
+takes the fused path x (H'C) (``fused_bound``).
 """
 
 from dataclasses import dataclass, fields
@@ -40,6 +42,27 @@ def products_bound(x, matrix):
     return 2 * gamma(matrix.shape[0]) * (windows @ np.abs(matrix))
 
 
+def fused_bound(x, h_matrix, joined):
+    """For each window product (windows, columns) of x through the fused
+    matrix G = H'C (``OrthoTransform.window_factors``), H the L x M analysis
+    matrix and C a mask's joined factor: a bound on its distance from a C,
+    with a the computed bank rows (``run_bank``), before a C rounds.
+
+    Forming G rounds each entry within gamma_L |H'||C|, and the M-term
+    window product within gamma_M |x||G|, |G| <= (1 + gamma_L) |H'||C|
+    (Higham 3.1).  So the L-term error multiplies |x||H'||C|, not |a||C| as
+    it does in the rows path.  The bank rows a are within gamma_M |x||H'|
+    of x H', which moves a C by gamma_M |x||H'||C|.  In all,
+    |x||H'||C| (gamma_M (2 + gamma_L) + gamma_L); ``statistics`` adds the
+    rounding of a C itself."""
+    h_matrix = np.abs(np.asarray(h_matrix, dtype=float))
+    l, m = h_matrix.shape
+    windows = np.ascontiguousarray(sliding_window_view(
+        np.abs(np.asarray(x, dtype=float)), m))
+    return ((windows @ (h_matrix.T @ np.abs(joined)))
+            * (gamma(m) * (2 + gamma(l)) + gamma(l)))
+
+
 def sum_squares_bound(y, y_bound):
     """Bound on the difference of two computed row sums of squares of K
     outputs within ``y_bound`` of ``y``: first order in the output
@@ -60,10 +83,12 @@ def assert_within(got, want, bound, what=""):
 
 @dataclass(frozen=True)
 class Statistics:
-    """Reference p0 + eps, Z and D's numerator max(p1 - nu r, 0) per row,
-    each with the bound within which any computation of it from rows within
-    the given bounds of the reference's agrees."""
+    """Reference p1, p0 + eps, Z and D's numerator max(p1 - nu r, 0) per
+    row, each with the bound within which any computation of it from rows
+    within the given bounds of the reference's agrees."""
 
+    p1: np.ndarray
+    p1_bound: np.ndarray
     denominator: np.ndarray
     denominator_bound: np.ndarray
     z: np.ndarray
@@ -76,17 +101,20 @@ class Statistics:
 
 
 def statistics(coeffs, transform, residual, masks=DEFAULT_MASKS,
-               epsilon=DEFAULT_EPSILON, coeffs_bound=0.0, residual_bound=0.0):
+               epsilon=DEFAULT_EPSILON, coeffs_bound=0.0, residual_bound=0.0,
+               products_bound=0.0):
     """The statistics of coefficient rows (samples, L) and their residuals,
     spelled out, with their bounds: the L-term products with the mask's
     joined factor, their sums of squares, then the guard, the ratio and the
-    noise correction, each one rounding on either side."""
+    noise correction, each one rounding on either side.  ``products_bound``
+    adds to the bound of those products, as ``fused_bound`` does for a
+    computation that never forms the rows."""
     factors = transform.mask_factors(masks)
     coeffs = np.asarray(coeffs, dtype=float)
     beta = coeffs @ factors.joined
-    beta_bound = ((coeffs_bound + gamma(coeffs.shape[1])
-                   * (2 * np.abs(coeffs) + coeffs_bound))
-                  @ np.abs(factors.joined))
+    beta_bound = products_bound + ((coeffs_bound + gamma(coeffs.shape[1])
+                                    * (2 * np.abs(coeffs) + coeffs_bound))
+                                   @ np.abs(factors.joined))
     fore, back = slice(None, factors.split), slice(factors.split, None)
     p1 = np.sum(beta[:, fore] ** 2, axis=1)
     p1_bound = sum_squares_bound(beta[:, fore], beta_bound[:, fore])
@@ -100,21 +128,25 @@ def statistics(coeffs, transform, residual, masks=DEFAULT_MASKS,
     numerator = np.maximum(p1 - noise, 0.0)
     numerator_bound = (p1_bound + noise_bound
                        + 2 * gamma(2) * (p1 + p1_bound + noise + noise_bound))
-    return Statistics(den, den_bound, z, first + 2 * UNIT * (z + first),
-                      numerator, numerator_bound)
+    return Statistics(p1, p1_bound, den, den_bound, z,
+                      first + 2 * UNIT * (z + first), numerator, numerator_bound)
 
 
 def trace_statistics(filt, trace, masks=DEFAULT_MASKS, epsilon=DEFAULT_EPSILON):
     """One trace alone through a fresh transform, the bank, the residual
-    factor and ``statistics``, with the bounds of the M-term products."""
+    factor and ``statistics``, with the bounds of the products that
+    ``detect_traces`` makes: the fused window products (``fused_bound``) and
+    the residual's M-term products."""
     tr = build_ortho_transform(filt.operators.psi, filt.operators.weight.matrix)
-    coeffs = run_bank(SampleSequence(values=trace.x), filt.operators.h_matrix).coeffs
+    h_matrix = filt.operators.h_matrix
+    coeffs = run_bank(SampleSequence(values=trace.x), h_matrix).coeffs
     out = window_products(trace.x, tr.residual_factor)
     return statistics(
         coeffs, tr, np.sum(out * out, axis=1), masks, epsilon,
-        coeffs_bound=products_bound(trace.x, filt.operators.h_matrix.T),
         residual_bound=sum_squares_bound(
-            out, products_bound(trace.x, tr.residual_factor)))
+            out, products_bound(trace.x, tr.residual_factor)),
+        products_bound=fused_bound(trace.x, h_matrix,
+                                   tr.mask_factors(masks).joined))
 
 
 def _read_back(decibels, ref, floor_db):

@@ -14,8 +14,8 @@ from roundoff import (assert_within, products_bound,  # noqa: E402
                       sum_squares_bound)
 from sgwhiten.analysis_bank import (RESIDUAL_BYTES,  # noqa: E402
                                     SampleSequence, StreamingBank, run_bank,
-                                    slab_shape, window_products)
-from sgwhiten.detector import residual_powers  # noqa: E402
+                                    slab_shape, window_power_sums,
+                                    window_products)
 from sgwhiten.filter_design import PRESET_LABELS, design_preset  # noqa: E402
 from sgwhiten.sim_harness import SCENARIOS, build_trace  # noqa: E402
 
@@ -130,11 +130,13 @@ def test_shared_pass_equals_each_filter_alone(case):
     # However the filters are chosen and ordered, a shared pass gives each
     # one the residual of that filter alone, within the round-off bound.
     filters, x = case
-    powers = residual_powers(x, [filt.transform for filt in filters])
+    powers = window_power_sums(x, [filt.transform.residual_factor
+                                   for filt in filters])
     for filt, power in zip(filters, powers):
         want, bound = residual_bound(x, filt.transform.residual_factor)
         assert_within(power, want, bound)
-        assert_within(residual_powers(x, [filt.transform])[0], want, bound)
+        assert_within(window_power_sums(x, [filt.transform.residual_factor])[0],
+                      want, bound)
 
 
 @pytest.mark.parametrize("m", [65, 257])
@@ -148,8 +150,10 @@ def test_wide_residual_factors_share_one_pass(m):
     assert slab_shape(m, columns)[:2] == (1, columns)
     step = RESIDUAL_BYTES // (8 * columns)
     x = np.random.default_rng(m).normal(size=2 * step + 3 * m + 200)
-    powers = residual_powers(x, [filt.transform for filt in filters])
+    powers = window_power_sums(x, [filt.transform.residual_factor
+                                   for filt in filters])
     for filt, power in zip(filters, powers):
         want, bound = residual_bound(x, filt.transform.residual_factor)
         assert_within(power, want, bound)
-        assert_within(residual_powers(x, [filt.transform])[0], want, bound)
+        assert_within(window_power_sums(x, [filt.transform.residual_factor])[0],
+                      want, bound)

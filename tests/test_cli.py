@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sgwhiten as sg
+from sgwhiten import analysis_bank as ab
 from sgwhiten import cli
 from sgwhiten import filter_design as fd
 from sgwhiten import sim_harness as sim
@@ -607,9 +608,9 @@ class TestSimulate:
                 == float(np.median(peaks))
 
     def test_one_detection_pass(self, tmp_path, monkeypatch):
-        # One shared residual pass for all six presets, over both seeds, and
-        # one bank pass per preset.
-        calls = {"bank": 0, "shared": 0, "design": 0}
+        # One window pass gives all six presets their powers, over both
+        # seeds, and no bank rows are formed.
+        calls = {"bank": 0, "pass": 0, "design": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -617,15 +618,19 @@ class TestSimulate:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(sim, "run_bank", counted("bank", sim.run_bank))
-        monkeypatch.setattr(sim, "residual_powers",
-                            counted("shared", sim.residual_powers))
+        bank = counted("bank", ab.run_bank)
+        for module in [m for name, m in sys.modules.items()
+                       if name.split(".")[0] == "sgwhiten"]:
+            if getattr(module, "run_bank", None) is ab.run_bank:
+                monkeypatch.setattr(module, "run_bank", bank)
+        monkeypatch.setattr(sim, "window_power_sums",
+                            counted("pass", sim.window_power_sums))
         monkeypatch.setattr(fd, "design_preset",
                             counted("design", fd.design_preset))
         rc = run(["simulate", "--scenario", "high-white", "--seeds", 2,
                   "--out", tmp_path])
         assert rc == 0
-        assert calls == {"bank": 6, "shared": 1, "design": 6}
+        assert calls == {"bank": 0, "pass": 1, "design": 6}
 
     def test_config_window_reaches_table(self, tmp_path):
         config = tmp_path / "config.json"

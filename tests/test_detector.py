@@ -3,7 +3,7 @@
 import re
 import tracemalloc
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -11,20 +11,25 @@ import sgwhiten as sg
 from sgwhiten.analysis_bank import (BLOCK_BYTES, RESIDUAL_BYTES,
                                     FeatureSeries, SampleSequence, run_bank,
                                     window_power_sums, window_products)
-from sgwhiten.detector import (DEFAULT_MASKS, STAT_ROWS, HypothesisMask,
-                               build_ortho_transform,
+from sgwhiten.detector import (DEFAULT_EPSILON, DEFAULT_MASKS, STAT_ROWS,
+                               HypothesisMask, _powers, build_ortho_transform,
                                compute_statistic, detect,
                                detection_statistics, peak_snr,
-                               residual_powers,
                                threshold_detect, to_decibels)
-from sgwhiten.errors import NotPositiveDefiniteError
+from sgwhiten.errors import NotPositiveDefiniteError, NumericalError
 
-from roundoff import (assert_within, check_statistics, products_bound,
-                      statistics, sum_squares_bound)
+from roundoff import (assert_within, check_statistics, fused_bound,
+                      products_bound, statistics, sum_squares_bound)
+from test_design_properties import designs
 
 # Regression value computed once from a deterministic noise-free run: a
 # 17-sample quadratic pulse of amplitude 10 on a zero baseline, plain preset.
 NOISE_FREE_MEDIUM_PEAK_DB = 56.31768670701693
+
+
+def residual_of(x, transform):
+    """The residual power series of one transform over the samples x."""
+    return window_power_sums(x, [transform.residual_factor])[0]
 
 
 def features_from(alpha_rows, offset=8):
@@ -196,19 +201,23 @@ class TestStatisticBlocks:
     def test_slices_and_stacks_equal_the_whole_series(self, case):
         tr, masks, coeffs, residual, cut, length, starts = case
         ref = statistics(coeffs, tr, residual, masks=masks)
-        whole = detection_statistics(coeffs, tr, residual, masks=masks)
-        assert all(out.shape == residual.shape for out in whole)
-        check_statistics(*whole, ref)
+
+        def check(rows):
+            report = detect(FeatureSeries(coeffs=coeffs[rows], offset=0), tr,
+                            residual[rows], masks=masks)
+            assert report.z.shape == residual[rows].shape
+            check_statistics(report.z, report.z_db, report.decision_db,
+                             ref[rows])
+
+        check(slice(None))
         assert_within(compute_statistic(coeffs, tr, masks=masks), ref.z,
                       ref.z_bound)
-        check_statistics(*detection_statistics(coeffs[cut], tr, residual[cut],
-                                               masks=masks), ref[cut])
+        check(cut)
         # Runs laid end to end, as detect_traces lays its traces: blocks
         # cut across runs.
         rows = np.concatenate([np.arange(start, start + length)
                                for start in starts]).astype(int)
-        check_statistics(*detection_statistics(coeffs[rows], tr, residual[rows],
-                                               masks=masks), ref[rows])
+        check(rows)
 
     def test_lone_rows_equal_the_whole_series(self, rng):
         # A one-row block, as at the end of 2 * STAT_ROWS + 1 rows, agrees
@@ -230,7 +239,10 @@ class TestStatisticBlocks:
         tr = build_ortho_transform(filt.operators.psi, filt.operators.weight.matrix)
         coeffs = np.zeros(shape)
         assert compute_statistic(coeffs, tr).shape == (0,)
-        for out in detection_statistics(coeffs, tr, np.zeros(0)):
+        report = detect(FeatureSeries(coeffs=coeffs, offset=8), tr, np.zeros(0))
+        for out in (report.z, report.z_db, report.decision_db, report.events):
+            assert out.shape == (0,)
+        for out in detection_statistics(*(np.zeros(0) for _ in range(3)), 0.5):
             assert out.shape == (0,)
 
     @pytest.mark.parametrize("shape", [(3, 0, 5), (0, 7, 5), (2, 30, 5), (5,)])
@@ -239,8 +251,12 @@ class TestStatisticBlocks:
         message = rf"2-d.*{re.escape(str(shape))}"
         with pytest.raises(ValueError, match=message):
             compute_statistic(coeffs, transforms["E"])
-        with pytest.raises(ValueError, match=message):
-            detection_statistics(coeffs, transforms["E"], np.zeros(shape[:-1]))
+
+    @pytest.mark.parametrize("shapes", [[(4,), (4,), (5,)], [(4,), (3,), (4,)],
+                                        [(2, 4), (4,), (4,)]])
+    def test_powers_of_other_windows_rejected(self, shapes):
+        with pytest.raises(ValueError, match="same windows"):
+            detection_statistics(*(np.ones(shape) for shape in shapes), 0.5)
 
 
 class TestStatisticMemory:
@@ -263,14 +279,83 @@ class TestStatisticMemory:
     @pytest.mark.parametrize("shape", [(1 << 16, 5), (16 * 399, 5)])
     def test_peak_is_the_outputs(self, shape, transforms, rng):
         coeffs = rng.normal(size=shape)
-        residual = rng.uniform(0.0, 2.0, size=shape[0])
+        p1, p0, residual = rng.uniform(0.0, 2.0, size=(3, shape[0]))
         tr = transforms["E"]
-        tr.mask_factors(DEFAULT_MASKS)
+        share = tr.mask_factors(DEFAULT_MASKS).share
         output = 8 * residual.size
         assert self.peak(lambda: compute_statistic(coeffs, tr)) \
             <= output + self.SLACK
-        assert self.peak(lambda: detection_statistics(coeffs, tr, residual)) \
+        assert self.peak(lambda: detection_statistics(p1, p0, residual, share)) \
             <= 3 * output + self.SLACK
+
+
+@st.composite
+def fused_cases(draw):
+    """A designed filter of a random spec (odd M 5-65, L <= 7, all six noise
+    families), a mask whose background is empty, overlaps the foreground or
+    is any other, an input of up to two statistic blocks of windows, and
+    whether the residual factor shares the pass, as in ``detect_traces``."""
+    filt = draw(designs())
+    l = filt.spec.l
+    terms = st.lists(st.integers(0, l - 1), unique=True)
+    fore = draw(st.lists(st.integers(0, l - 1), unique=True, min_size=1))
+    zero = draw(st.sampled_from(["empty", "overlap", "any"]))
+    if zero == "empty":
+        zero = range(l)
+    elif zero == "overlap":
+        zero = [i for i in draw(terms) if i != fore[0]]
+    else:
+        zero = draw(terms)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = filt.spec.m - 1 + draw(st.integers(1, 2 * STAT_ROWS + 1))
+    x = 10.0 ** rng.uniform(-3, 3) * rng.normal(size=n) + 10.0 ** rng.uniform(
+        -3, 3) * np.polyval(rng.normal(size=3), np.linspace(-1.0, 1.0, n))
+    try:
+        filt.transform.residual_factor
+    except NumericalError:
+        reject()
+    return filt, HypothesisMask(tuple(fore), tuple(zero)), x, draw(st.booleans())
+
+
+class TestFusedProducts:
+    """p1 and p0 from the window products through H'C_F and H'C_B (one
+    pass, no bank rows) against the rows path, the bank rows through the
+    mask's factor, within the bound of both (``fused_bound``)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(fused_cases())
+    def test_fused_statistics_equal_the_rows_path(self, case):
+        filt, masks, x, with_residual = case
+        tr, h_matrix = filt.transform, filt.operators.h_matrix
+        factor = tr.residual_factor
+        matrices = tr.window_factors(h_matrix, masks)
+        assert [part.shape for part in matrices] == [
+            (filt.spec.m, len(masks.foreground_keep)),
+            (filt.spec.m, filt.spec.l - len(masks.background_zero))]
+        out = window_products(x, factor)
+        residual = np.einsum("nk,nk->n", out, out)
+        coeffs = run_bank(SampleSequence(values=x), h_matrix).coeffs
+        ref = statistics(
+            coeffs, tr, residual, masks,
+            residual_bound=sum_squares_bound(out, products_bound(x, factor)),
+            products_bound=fused_bound(x, h_matrix,
+                                       tr.mask_factors(masks).joined))
+        if with_residual:
+            p1, p0, residual = window_power_sums(x, [*matrices, factor])
+        else:
+            p1, p0 = window_power_sums(x, matrices)
+        assert_within(p1, ref.p1, ref.p1_bound, "fused p1")
+        assert_within(p0 + DEFAULT_EPSILON, ref.denominator,
+                      ref.denominator_bound, "fused p0")
+        check_statistics(*detection_statistics(
+            p1, p0, residual, tr.mask_factors(masks).share), ref, what="fused")
+        # The rows path, within the same bound.
+        p1, p0 = (np.empty(len(coeffs)) for _ in range(2))
+        for at, fore, back in _powers(coeffs, tr, masks):
+            p1[at], p0[at] = fore, back
+        assert_within(p1, ref.p1, ref.p1_bound, "rows p1")
+        assert_within(p0 + DEFAULT_EPSILON, ref.denominator,
+                      ref.denominator_bound, "rows p0")
 
 
 class TestGramBlockKernel:
@@ -319,7 +404,7 @@ class TestNoiseCorrection:
             e = windows - feats.coeffs @ filt.operators.psi.T
             direct = np.einsum("nm,mk,nk->n", e, tr.w_scaled, e)
             total = np.einsum("nm,mk,nk->n", windows, tr.w_scaled, windows)
-            residual = residual_powers(x, [tr])[0]
+            residual = residual_of(x, tr)
             assert np.abs(residual - direct).max() <= 1e-9 * total.max()
 
     def test_residual_slices_equal_one_pass(self, transforms, rng):
@@ -330,7 +415,7 @@ class TestNoiseCorrection:
         per_slice = RESIDUAL_BYTES // (8 * width)
         x = rng.normal(size=3 * per_slice + 100 + m - 1)
         out = window_products(x, tr.residual_factor)
-        assert_within(residual_powers(x, [tr])[0],
+        assert_within(residual_of(x, tr),
                       np.einsum("nk,nk->n", out, out),
                       sum_squares_bound(out, products_bound(x, tr.residual_factor)))
 
@@ -341,7 +426,8 @@ class TestNoiseCorrection:
             window_power_sums(np.zeros(40), [np.ones((17, 2)), np.ones((1, 3))])
         wide = sg.design_preset("A", m=33).transform
         with pytest.raises(ValueError, match=r"\[17, 33\] rows"):
-            residual_powers(np.zeros(80), [transforms["A"], wide])
+            window_power_sums(np.zeros(80), [transforms["A"].residual_factor,
+                                             wide.residual_factor])
 
     @pytest.mark.parametrize("label", ["A", "B", "C", "F"])
     def test_noise_share_is_unbiased_under_the_model(self, label, presets,
@@ -386,26 +472,21 @@ class TestNoiseCorrection:
         x = np.zeros(400)
         x[200] = bad
         with pytest.raises(ValueError, match="NaN or infinity"):
-            residual_powers(x, [transforms["A"]])
-
-    def test_input_shorter_than_the_window_rejected(self, transforms):
-        with pytest.raises(ValueError, match="shorter than the window"):
-            residual_powers(np.zeros(16), [transforms["A"], transforms["F"]])
+            residual_of(x, transforms["A"])
 
     def test_no_transform_gives_no_residual(self):
-        assert residual_powers(np.zeros(40), []) == []
         assert window_power_sums(np.zeros(40), []) == []
 
     def test_exact_fit_has_no_residual(self):
         tr = build_ortho_transform(sg.build_vandermonde(5, 5), np.eye(5))
         assert tr.mask_factors(DEFAULT_MASKS).share == 0.0
-        assert np.all(residual_powers(np.arange(12.0) ** 3, [tr])[0] <= 1e-6)
+        assert np.all(residual_of(np.arange(12.0) ** 3, tr) <= 1e-6)
 
     def test_events_are_decision_crossings_below_z(self, presets, transforms):
         trace = sg.build_trace("mismatched-colored", seed=8, amplitude=10.0)
         filt = presets["F"]
         feats = run_bank(SampleSequence(values=trace.x), filt.operators.h_matrix)
-        residual = residual_powers(trace.x, [transforms["F"]])[0]
+        residual = residual_of(trace.x, transforms["F"])
         report = detect(feats, transforms["F"], residual)
         z_events = threshold_detect(report.z_db, 20.0, offset=8)
         assert np.all(report.decision_db <= report.z_db)
@@ -452,7 +533,7 @@ class TestThreshold:
                          presets["A"].operators.h_matrix)
         with pytest.raises(ValueError, match="gamma_db"):
             detect(feats, transforms["A"],
-                   residual_powers(trace.x, [transforms["A"]])[0],
+                   residual_of(trace.x, transforms["A"]),
                    gamma_db=gamma_db)
 
 
@@ -516,7 +597,7 @@ class TestPeakSnr:
         x = np.concatenate([np.zeros(51), pulse, np.zeros(51)])
         feats = run_bank(SampleSequence(values=x), presets["A"].operators.h_matrix)
         report = detect(feats, transforms["A"],
-                        residual_powers(x, [transforms["A"]])[0],
+                        residual_of(x, transforms["A"]),
                         pulse_extents=[(51, 68)])
         assert report.peak_snr_db[0] == pytest.approx(NOISE_FREE_MEDIUM_PEAK_DB,
                                                       abs=1e-9)
@@ -528,7 +609,7 @@ class TestDetectPipeline:
         feats = run_bank(SampleSequence(values=trace.x),
                          presets["A"].operators.h_matrix)
         report = detect(feats, transforms["A"],
-                        residual_powers(trace.x, [transforms["A"]])[0],
+                        residual_of(trace.x, transforms["A"]),
                         pulse_extents=trace.extents())
         assert len(report.peak_snr_db) == 5
         assert report.offset == 8

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from sgwhiten import analysis_bank as ab
 from sgwhiten import cli
 from sgwhiten import sim_harness as sim
 
@@ -31,6 +32,8 @@ def test_hooked_spans_record_their_info(tmp_path):
     try:
         sim.calibrate_amplitude(seeds=(0,))
         sim.run_experiment(seeds=(0,))
+        # Detection forms no bank rows; a direct call exercises the bank hook.
+        ab.run_bank(ab.SampleSequence(values=np.arange(40.0)), np.ones((5, 17)))
         path = tmp_path / "x.csv"
         cli.write_csv(path, ("x",), [np.arange(4.0)])
         cli.read_csv_column(path, "x")

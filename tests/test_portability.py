@@ -31,6 +31,7 @@ BOUND_TESTS = [
     "tests/test_bank_properties.py",
     "tests/test_detector.py::TestNoiseCorrection::test_residual_slices_equal_one_pass",
     "tests/test_detector.py::TestStatisticBlocks",
+    "tests/test_detector.py::TestFusedProducts",
     "tests/test_sim_harness.py::TestCalibration::test_read_span_peaks_equal_whole_trace_peaks",
     "tests/test_sim_harness.py::TestBatchedDetection::test_reports_equal_per_trace_path",
     "tests/test_sim_harness.py::TestBatchedDetection::test_groups_give_one_pass_results",

@@ -42,8 +42,8 @@ from hypothesis import given, reject, settings, strategies as st  # noqa: E402
 
 from sgwhiten import filter_design as fd  # noqa: E402
 from sgwhiten import sim_harness as sim  # noqa: E402
-from sgwhiten.analysis_bank import SampleSequence, run_bank  # noqa: E402
-from sgwhiten.detector import residual_powers  # noqa: E402
+from sgwhiten.analysis_bank import (SampleSequence, run_bank,  # noqa: E402
+                                    window_power_sums)
 from sgwhiten.errors import NumericalError  # noqa: E402
 from test_design_properties import (UNIT_ROUNDOFF, noise_models,  # noqa: E402
                                     normal_condition, scaled_basis)
@@ -106,7 +106,8 @@ def test_residual_contracts(case):
     bound = (RESIDUAL_FACTOR * UNIT_ROUNDOFF * spec.m
              * (total + whitened_power(np.abs(e), np.abs(tr.w_scaled)))
              + (UNIT_ROUNDOFF * normal_condition(filt)) ** 2 * total)
-    gap = np.abs(residual_powers(x, [tr])[0] - whitened_power(e, tr.w_scaled))
+    power = window_power_sums(x, [tr.residual_factor])[0]
+    gap = np.abs(power - whitened_power(e, tr.w_scaled))
     assert np.all(gap <= bound), (spec, (gap / bound).max())
 
 
@@ -145,5 +146,5 @@ def test_residual_power_matches_exact_form(label, m, l):
     windows = np.lib.stride_tricks.sliding_window_view(x, m)
     bound = ORACLE_FACTOR * UNIT_ROUNDOFF * m * np.sqrt(
         whitened_power(windows, tr.w_scaled) * want)
-    gap = np.abs(residual_powers(x, [tr])[0] - want)
+    gap = np.abs(window_power_sums(x, [tr.residual_factor])[0] - want)
     assert np.all(gap <= bound), (gap / bound).max()

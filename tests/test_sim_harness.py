@@ -280,10 +280,11 @@ class TestBatchedDetection:
             assert set(reports) == set(fd.PRESET_LABELS)
             check_reports(reports, filters, trace, **options)
 
-    @pytest.mark.parametrize("budget,passes", [(1, 6), (600_000, 3)],
+    @pytest.mark.parametrize("budget,passes", [(1, 6), (400_000, 3)],
                              ids=["one-trace-groups", "groups-across-scenarios"])
     def test_groups_give_one_pass_results(self, monkeypatch, budget, passes):
-        # 399-sample traces at M = 17 take ~223 kB each, so 600 kB holds two.
+        # 399-sample traces at M = 17 take 8 x 399 x (6 x 6 + 16) B, ~166 kB
+        # each, so 400 kB holds two.
         kwargs = dict(scenarios=("low-white", "matched-colored"), seeds=(0, 1, 2),
                       amplitude=9.0)
         whole, seen = [], []
@@ -376,8 +377,8 @@ class TestBatchedDetection:
 
 class TestExperimentMemory:
     def test_groups_are_released_before_the_next(self, monkeypatch):
-        # 2.4 MB holds ten 399-sample traces at M = 17.
-        monkeypatch.setattr(sim, "GROUP_BYTES", 2_400_000)
+        # 1.7 MB holds ten 399-sample traces at M = 17 (~166 kB each).
+        monkeypatch.setattr(sim, "GROUP_BYTES", 1_700_000)
         kwargs = dict(scenarios=("low-white",), amplitude=9.0)
         sg.run_experiment(seeds=(0,), **kwargs)    # designs and transforms
 

@@ -15,9 +15,10 @@ The kernel copies samples into blocks of about BLOCK_BYTES and multiplies
 each block by the matrix in one BLAS product, through a layout (``_Layout``)
 built once per matrix (``slab_shape``).  A narrow matrix, such as an L-row
 bank, is laid out as a band: one product row is a segment of P + M - 1
-samples and gives the rows of P = 16 consecutive windows, so each window
-costs (P + M - 1) / P copied samples instead of M.  Every other matrix takes
-one window a product row.
+samples and gives the rows of P consecutive windows, so each window costs
+(P + M - 1) / P copied samples instead of M.  P is 16 up to M = 127 and
+grows with M past it, to 64 at M = 257, with the block.  Every other matrix
+takes one window a product row.
 Samples must be finite: a zero of the band times NaN is NaN, which would
 reach the other windows of a segment.
 
@@ -39,8 +40,8 @@ from numpy.lib.stride_tricks import as_strided
 # window_power_sums holds at once.
 BLOCK_BYTES = 1 << 19
 RESIDUAL_BYTES = 1 << 19
-# Windows per segment of a banded matrix and the widest matrix banded
-# (slab_shape).
+# Windows per segment of a banded matrix up to M = 127 and the widest matrix
+# banded (slab_shape).
 BAND_WINDOWS = 16
 BAND_WIDTH = 8
 
@@ -127,12 +128,20 @@ def slab_shape(m: int, width: int) -> tuple[int, int, int]:
     """Windows per product row P, columns per product and segments per
     copied block for an M x width matrix.
 
-    A matrix of at most BAND_WIDTH columns is banded (``_Layout``) with
-    P = BAND_WINDOWS at any M, P * width columns; any other matrix has
-    P = 1, one window a row.  A block of segments of P + M - 1 samples takes
-    about BLOCK_BYTES."""
-    p = BAND_WINDOWS if 0 < width <= BAND_WIDTH else 1
-    return p, p * width, max(BLOCK_BYTES // (8 * (p + m - 1)), 1)
+    A matrix of at most BAND_WIDTH columns is banded (``_Layout``), P * width
+    columns.  P is BAND_WINDOWS up to M = 127; past it, (M - 1) / 4 rounded
+    down to a power of two, up to 4 BAND_WINDOWS (32 at M = 129, 64 from
+    M = 257), so that each window costs about 5 copied samples and the
+    product is a wider, squarer gemm.  Any other matrix has P = 1, one
+    window a row.  A block of segments of P + M - 1 samples takes about
+    BLOCK_BYTES * max(P / BAND_WINDOWS, 1)."""
+    if 0 < width <= BAND_WIDTH:
+        p = min(max(BAND_WINDOWS, (1 << max(m - 1, 1).bit_length()) // 8),
+                4 * BAND_WINDOWS)
+    else:
+        p = 1
+    block_bytes = BLOCK_BYTES * max(p // BAND_WINDOWS, 1)
+    return p, p * width, max(block_bytes // (8 * (p + m - 1)), 1)
 
 
 class _Layout:

@@ -5,7 +5,10 @@ constraints psi' h = c that force exact reproduction of the d-th derivative
 of any polynomial up to the model degree at the window center.  Two solver
 routes are provided and cross-checked:
 
-* a bordered KKT system in R (robust when R is nearly singular), and
+* a bordered KKT system in R (robust when R is nearly singular), solved in
+  R's even and odd blocks (``noise_models.centrosymmetric_blocks``), each
+  of about half the order, and only for a parity the constraints touch; the
+  design hands it the R its weights were inverted from, and
 * the explicit weighted-least-squares form H = (psi' W psi)^-1 psi' W with
   W = R^-1, followed by tap extraction h' = mu' D^d H.
 
@@ -194,27 +197,64 @@ def extract_coefficients(h_matrix: np.ndarray, deriv: np.ndarray,
 
 
 def solve_kkt(r_matrix: np.ndarray, psi: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Minimize h' R h subject to psi' h = mu via the bordered system.
+    """Minimize h' R h subject to psi' h = mu through bordered systems.
+
+    R must be symmetric and centrosymmetric, as an autocorrelation matrix
+    is, and each column of psi symmetric or antisymmetric about the window
+    centre, exactly; anything else is a ValueError.  The problem then splits
+    by parity (``noise_models.centrosymmetric_blocks``): the taps' symmetric
+    part solves the bordered system of R's even block with the symmetric
+    columns, and their antisymmetric part that of the odd block with the
+    antisymmetric ones.  A parity whose constraints are all zero has zero
+    taps and is not solved, so a derivative's taps have its parity exactly.
 
     Returns taps in shift-index order (the raw solution is window-ordered and
     is reversed before returning; for symmetric even-derivative designs the
-    reversal is the identity).  The Lagrange multiplier block is discarded.
+    reversal is the identity).  The Lagrange multipliers are discarded.
     """
     r = np.asarray(r_matrix, dtype=float)
-    m, l = psi.shape
-    bordered = np.zeros((m + l, m + l))
-    bordered[:m, :m] = r
-    bordered[:m, m:] = psi
-    bordered[m:, :m] = psi.T
-    rhs = np.zeros(m + l)
-    rhs[m:] = mu
+    psi = np.asarray(psi, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    symmetric = np.all(psi == psi[::-1], axis=0)
+    antisymmetric = np.all(psi == -psi[::-1], axis=0) & ~symmetric
+    if not np.all(symmetric | antisymmetric):
+        raise ValueError("each psi column must be symmetric or antisymmetric "
+                         "about the window centre")
+    even_block, odd_block = nm.centrosymmetric_blocks(r)
+    m, k = len(r), len(odd_block)
+    # The columns in the blocks' orthonormal bases, Q' psi.
+    halves = np.vstack([math.sqrt(2.0) * psi[:k], psi[k:m - k]])
     try:
-        solution = np.linalg.solve(bordered, rhs)
+        even = _bordered_half(even_block, halves[:, symmetric], mu[symmetric])
+        odd = _bordered_half(odd_block, halves[:k, antisymmetric],
+                             mu[antisymmetric])
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(
             f"bordered system is singular (condition number "
             f"{nm.condition_estimate(r):.3e}): {exc}") from exc
-    return solution[:m][::-1].copy()
+    # Back to the window, Q [even; odd].
+    window = np.empty(m)
+    window[:k] = math.sqrt(0.5) * (even[:k] + odd)
+    window[k:m - k] = even[k:]
+    window[m - k:] = (math.sqrt(0.5) * (even[:k] - odd))[::-1]
+    return window[::-1].copy()
+
+
+def _bordered_half(block: np.ndarray, columns: np.ndarray,
+                   target: np.ndarray) -> np.ndarray:
+    """The x minimizing x' block x subject to columns' x = target, from the
+    bordered system; zeros when the target is."""
+    size = len(block)
+    if not np.any(target):
+        return np.zeros(size)
+    width = columns.shape[1]
+    bordered = np.zeros((size + width, size + width))
+    bordered[:size, :size] = block
+    bordered[:size, size:] = columns
+    bordered[size:, :size] = columns.T
+    rhs = np.zeros(size + width)
+    rhs[size:] = target
+    return np.linalg.solve(bordered, rhs)[:size]
 
 
 def white_noise_gain(h: np.ndarray) -> float:
@@ -336,28 +376,25 @@ def design(spec: DesignSpec, label: str = "custom") -> DesignedFilter:
     The explicit weighted-LS route is used for diagonal or well-conditioned
     weights; the bordered KKT route takes over when the condition number of
     the autocorrelation matrix exceeds ``KKT_CONDITION_LIMIT`` (1e6).
-    Even-derivative taps are symmetrized (odd-derivative taps
+    The KKT route solves the R that the weights invert, and its taps have
+    the derivative's parity exactly (``solve_kkt``).  The LS route's
+    even-derivative taps are symmetrized (odd-derivative taps
     antisymmetrized), which the exact solution satisfies for any symmetric
     Toeplitz weight.
     """
     psi = build_vandermonde(spec.m, spec.l)
     mu = moment_vector(spec.l)
     deriv = derivative_operator(spec.l, spec.d, spec.ts)
-    weight = nm.weight_matrix(spec.noise, spec.m)
+    weight, r_matrix = nm._weight_and_correlation(spec.noise, spec.m)
 
     h_matrix = solve_weighted_ls(weight.matrix, psi)
     if weight.provenance != "inverse-toeplitz" or weight.condition <= KKT_CONDITION_LIMIT:
         taps = extract_coefficients(h_matrix, deriv, mu)
+        # Exact solutions have definite parity; project out solver round-off.
+        sign = 1.0 if spec.d % 2 == 0 else -1.0
+        taps = 0.5 * (taps + sign * taps[::-1])
     else:
-        r_matrix = nm.correlation_matrix(spec.noise, spec.m)
-        constraint = deriv.T @ mu
-        taps = solve_kkt(r_matrix, psi, constraint)
-
-    # Exact solutions have definite parity; project out solver round-off.
-    if spec.d % 2 == 0:
-        taps = 0.5 * (taps + taps[::-1])
-    else:
-        taps = 0.5 * (taps - taps[::-1])
+        taps = solve_kkt(r_matrix, psi, deriv.T @ mu)
 
     operators = RegressionOperators(psi=psi, weight=weight, h_matrix=h_matrix,
                                     mu=mu)

@@ -30,11 +30,13 @@ import numbers
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .analysis_bank import _freeze
 from .errors import IllConditionedError
 
-# Residual bound for invert_to_weight: ||R W - I||_inf <= RESIDUAL_TOL * M.
+# Residual bound for invert_to_weight: max |R W - I| <= RESIDUAL_TOL * M, the
+# largest entry (the max norm).
 RESIDUAL_TOL = 1e-6
 
 # Pole frequencies this close above pi are treated as Nyquist, not aliased;
@@ -271,8 +273,63 @@ def toeplitz_from_autocorr(acf: AutocorrSequence, size: int) -> np.ndarray:
     """Symmetric Toeplitz matrix with entry [i, j] = R[|i - j|]."""
     if acf.kmax < size - 1:
         raise ValueError(f"autocorrelation covers lags 0..{acf.kmax}, need 0..{size - 1}")
-    idx = np.abs(np.subtract.outer(np.arange(size), np.arange(size)))
-    return acf.values[idx]
+    # Row i of the windows over the mirrored lags R[size-1..1], R[0..size-1]
+    # is R[|size - 1 - i - j|]; reversed, row i is R[|i - j|].
+    lags = acf.values[:size]
+    mirrored = np.concatenate([lags[:0:-1], lags])
+    return sliding_window_view(mirrored, size)[::-1].copy()
+
+
+def centrosymmetric_blocks(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd blocks of a symmetric centrosymmetric matrix of order n.
+
+    A matrix with R[i, j] = R[j, i] = R[n-1-i, n-1-j], as every symmetric
+    Toeplitz matrix is, is block diagonal in the orthonormal basis Q of
+    symmetric vectors (e_i + e_{n-1-i}) / sqrt 2, i < n // 2, plus the
+    centre e_{n//2} for odd n, and antisymmetric ones (e_i - e_{n-1-i}) /
+    sqrt 2: Q' R Q = diag(E, O), E of order ceil(n/2) and O of order
+    floor(n/2) (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  So R's
+    eigenvalues are E's with O's, and R^-1 = Q diag(E^-1, O^-1) Q'
+    (``_from_blocks``).  With K = n // 2 and R's first K rows [A, b, C],
+    b the centre column of odd n,
+
+        E = [[A + C J, sqrt 2 b], [sqrt 2 b', R[K, K]]],    O = A - C J,
+
+    J the K x K exchange, each entry within one rounding of the exact one.
+    ValueError unless the matrix is square, and symmetric and
+    centrosymmetric exactly.
+    """
+    r = np.asarray(matrix, dtype=float)
+    if r.ndim != 2 or r.shape[0] != r.shape[1]:
+        raise ValueError("matrix must be square")
+    if not (np.array_equal(r, r.T) and np.array_equal(r, r[::-1, ::-1])):
+        raise ValueError("matrix must be symmetric and centrosymmetric, as "
+                         "an autocorrelation matrix is")
+    n = len(r)
+    k = n // 2
+    paired = r[:k, n - k:][:, ::-1]
+    even = np.empty((n - k, n - k))
+    even[:k, :k] = r[:k, :k] + paired
+    if n % 2:
+        even[:k, k] = even[k, :k] = math.sqrt(2.0) * r[:k, k]
+        even[k, k] = r[k, k]
+    return even, r[:k, :k] - paired
+
+
+def _from_blocks(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """Q diag(even, odd) Q' for the basis Q of ``centrosymmetric_blocks``:
+    symmetric and centrosymmetric exactly when both blocks are symmetric."""
+    k = len(odd)
+    n = len(even) + k
+    out = np.empty((n, n))
+    out[:k, :k] = 0.5 * (even[:k, :k] + odd)
+    out[:k, n - k:] = (0.5 * (even[:k, :k] - odd))[:, ::-1]
+    if n % 2:
+        out[:k, k] = out[k, :k] = math.sqrt(0.5) * even[:k, k]
+        out[k, k + 1:] = out[k, :k][::-1]
+        out[k, k] = even[k, k]
+    out[n - k:] = out[:k][::-1, ::-1]
+    return out
 
 
 def kms_tridiagonal_inverse(rho: float, size: int) -> np.ndarray:
@@ -298,38 +355,51 @@ def kms_tridiagonal_inverse(rho: float, size: int) -> np.ndarray:
 def invert_to_weight(r_matrix: np.ndarray, kms_rho: float | None = None) -> WeightMatrix:
     """Invert an autocorrelation matrix into a whitening weight matrix.
 
+    The matrix splits into its even and odd blocks
+    (``centrosymmetric_blocks``).  Each block is inverted and W is assembled
+    from the two inverses, symmetric and centrosymmetric exactly; the
+    condition number is that of the blocks' eigenvalues, which are R's.
+
     Parameters
     ----------
     r_matrix : ndarray
-        Symmetric, numerically nonsingular autocorrelation matrix.
+        Symmetric Toeplitz, or any symmetric and centrosymmetric,
+        numerically nonsingular matrix; any other is a ValueError.
     kms_rho : float, optional
         When the matrix is known to be first-order ([rho^|i-j|]), pass rho to
-        use the exact tridiagonal inverse instead of a dense solve.
+        use the exact tridiagonal inverse instead of the blocks' solves.
 
     Raises
     ------
     IllConditionedError
-        If ||R W - I||_inf exceeds 1e-6 * M.  For narrow-band models this
-        signals that |sigma| must be increased.
+        If a block is singular, or the largest entry of |R W - I| exceeds
+        1e-6 * M.  For narrow-band models this signals that |sigma| must be
+        increased.
     """
     r = np.asarray(r_matrix, dtype=float)
-    size = r.shape[0]
+    size = len(r)
+    blocks = centrosymmetric_blocks(r)
     if kms_rho is not None:
         w = kms_tridiagonal_inverse(kms_rho, size)
     else:
-        try:
-            w = np.linalg.solve(r, np.eye(size))
-        except np.linalg.LinAlgError as exc:
-            raise IllConditionedError(f"autocorrelation matrix is singular: {exc}") from exc
-        w = 0.5 * (w + w.T)
+        inverses = []
+        for block in blocks:
+            try:
+                inverse = np.linalg.inv(block)
+            except np.linalg.LinAlgError as exc:
+                raise IllConditionedError(
+                    f"autocorrelation matrix is singular: {exc}") from exc
+            inverses.append(0.5 * (inverse + inverse.T))
+        w = _from_blocks(*inverses)
     residual = np.abs(r @ w - np.eye(size)).max()
     bound = RESIDUAL_TOL * size
     if not residual <= bound:
         raise IllConditionedError(
             f"inverse residual {residual:.3e} exceeds {bound:.3e}; "
             "the noise model is too close to singular (increase |sigma|)")
+    eigenvalues = np.concatenate([np.linalg.eigvalsh(block) for block in blocks])
     return WeightMatrix(matrix=w, provenance="inverse-toeplitz",
-                        condition=condition_estimate(r))
+                        condition=_condition(eigenvalues))
 
 
 def condition_estimate(matrix: np.ndarray) -> float:
@@ -338,7 +408,11 @@ def condition_estimate(matrix: np.ndarray) -> float:
     The ratio of the largest to the smallest eigenvalue magnitude, from a
     symmetric eigenvalue decomposition; inf when the smallest is zero.
     """
-    magnitudes = np.abs(np.linalg.eigvalsh(np.asarray(matrix, dtype=float)))
+    return _condition(np.linalg.eigvalsh(np.asarray(matrix, dtype=float)))
+
+
+def _condition(eigenvalues: np.ndarray) -> float:
+    magnitudes = np.abs(eigenvalues)
     low = magnitudes.min()
     return math.inf if low == 0.0 else float(magnitudes.max() / low)
 
@@ -396,12 +470,21 @@ def weight_matrix(model: NoiseModel, size: int) -> WeightMatrix:
 
     White -> identity; Gaussian kernel -> diagonal taper; first-order models
     (gauss-markov, nyquist) -> exact tridiagonal KMS inverse; narrow-band and
-    wide-band -> dense inverse of the Toeplitz matrix with a residual check.
+    wide-band -> inverse of the Toeplitz matrix through its even and odd
+    blocks, with a residual check.
     """
+    return _weight_and_correlation(model, size)[0]
+
+
+def _weight_and_correlation(model: NoiseModel,
+                            size: int) -> tuple[WeightMatrix, np.ndarray | None]:
+    """``weight_matrix``'s W and the Toeplitz R it inverts; None for the
+    identity and diagonal weights, which invert no R."""
     family = _KINDS[model.kind]
     if family.weight == "identity":
-        return WeightMatrix(matrix=np.eye(size), provenance="identity")
+        return WeightMatrix(matrix=np.eye(size), provenance="identity"), None
     if family.weight == "diagonal-kernel":
-        return gaussian_kernel_weights(model.lam, (size - 1) // 2)
+        return gaussian_kernel_weights(model.lam, (size - 1) // 2), None
     rho = None if family.kms_rho is None else family.kms_rho(model)
-    return invert_to_weight(correlation_matrix(model, size), kms_rho=rho)
+    r_matrix = correlation_matrix(model, size)
+    return invert_to_weight(r_matrix, kms_rho=rho), r_matrix

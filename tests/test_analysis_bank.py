@@ -52,6 +52,26 @@ def chunked(stream, x, sizes):
     return np.concatenate(rows)
 
 
+class TestSlabShape:
+    def test_layouts_up_to_m_127_are_the_fixed_band(self):
+        # Up to M = 127 every width keeps the 16-window band of at most 8
+        # columns and 512 KiB blocks; the M = 17 kernels must not move.
+        for m in range(1, 128):
+            for width in range(0, 41):
+                p = 16 if 0 < width <= 8 else 1
+                assert slab_shape(m, width) == (
+                    p, p * width, max((1 << 19) // (8 * (p + m - 1)), 1)), \
+                    (m, width)
+
+    @pytest.mark.parametrize("m, p", [(129, 32), (255, 32), (257, 64),
+                                      (1025, 64)])
+    def test_band_widens_past_m_127(self, m, p):
+        # The band and its block grow by P / 16, and only banded matrices do.
+        assert slab_shape(m, 5) == (
+            p, 5 * p, (1 << 19) * (p // 16) // (8 * (p + m - 1)))
+        assert slab_shape(m, 9) == (1, 9, (1 << 19) // (8 * m))
+
+
 class TestSampleSequence:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):

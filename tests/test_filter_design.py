@@ -141,6 +141,17 @@ class TestSolvers:
                                        fd.moment_vector(3))
         assert np.allclose(taps, 2.0 * h_matrix[2][::-1], atol=1e-14)
 
+    def test_kkt_rejects_a_basis_column_of_no_parity(self):
+        psi = np.column_stack([np.ones(5), np.arange(5.0)])
+        with pytest.raises(ValueError, match="symmetric or antisymmetric"):
+            fd.solve_kkt(np.eye(5), psi, np.array([1.0, 0.0]))
+
+    def test_kkt_rejects_a_matrix_that_is_not_centrosymmetric(self):
+        r = np.eye(5)
+        r[0, 0] = 2.0
+        with pytest.raises(ValueError, match="centrosymmetric"):
+            fd.solve_kkt(r, fd.build_vandermonde(5, 3), fd.moment_vector(3))
+
     def test_kkt_reports_singular_bordered_system(self):
         psi = np.zeros((5, 2))  # moment constraints unsatisfiable
         with pytest.raises(sg.IllConditionedError):
@@ -317,6 +328,23 @@ class TestDesignProperties:
     def test_odd_antisymmetry_exact(self):
         filt = fd.design_preset("A", d=1)
         assert np.abs(filt.h + filt.h[::-1]).max() <= 1e-12
+
+    def test_notch_first_derivative_through_the_odd_block(self):
+        # E at d = 1 takes the KKT route, whose constraint d! / ts^d sits in
+        # an odd column: only the odd block is solved, and the taps come out
+        # antisymmetric exactly and meet psi' w = D' mu (w = h reversed).
+        filt = fd.design_preset("E", d=1)
+        assert filt.condition > fd.KKT_CONDITION_LIMIT
+        h = filt.h
+        assert np.array_equal(h, -h[::-1]) and h[filt.half_length] == 0.0
+        spec = filt.spec
+        deriv = fd.derivative_operator(spec.l, spec.d, spec.ts)
+        constraint = deriv.T @ filt.operators.mu
+        assert np.array_equal(constraint, [0.0, 1.0, 0.0, 0.0, 0.0])
+        moments = filt.operators.psi.T @ h[::-1]
+        scale = np.abs(filt.operators.psi).T @ np.abs(h)
+        assert np.all(np.abs(moments - constraint) <= 1e-12 * scale), \
+            moments - constraint
 
     def test_sinusoid_gain(self, presets, rng):
         # Mean-square output for a unit sinusoid equals |H(w)|^2 / 2.

@@ -143,6 +143,16 @@ class TestToeplitz:
         expected = np.array([[1, rho, rho ** 2], [rho, 1, rho], [rho ** 2, rho, 1]])
         assert np.allclose(nm.toeplitz_from_autocorr(acf, 3), expected, atol=1e-15)
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 17, 257])
+    def test_equals_the_indexed_build(self, size, rng):
+        # The windows over the mirrored lags give the array R[|i - j|],
+        # value for value.
+        acf = nm.AutocorrSequence(values=np.r_[1.0, rng.uniform(-1, 1, size + 2)])
+        idx = np.abs(np.subtract.outer(np.arange(size), np.arange(size)))
+        built = nm.toeplitz_from_autocorr(acf, size)
+        assert np.array_equal(built, acf.values[idx])
+        assert built.flags.c_contiguous and built.flags.writeable
+
     def test_insufficient_lags_rejected(self):
         acf = nm.AutocorrSequence(values=np.array([1.0, 0.5]))
         with pytest.raises(ValueError):
@@ -203,16 +213,61 @@ class TestInvertToWeight:
             nm.kms_tridiagonal_inverse(rho, 5)
 
     def test_residual_failure_raises(self):
-        # A numerically singular matrix must be rejected, not patched.
+        # A numerically singular matrix must be rejected, not patched; here
+        # both of its blocks are singular.
         r = np.ones((6, 6)) + 1e-18 * np.eye(6)
         with pytest.raises(IllConditionedError):
             nm.invert_to_weight(r)
 
     def test_output_symmetric(self, rng):
-        a = rng.normal(size=(7, 7))
-        r = a @ a.T + 7 * np.eye(7)
+        lags = np.r_[7.0, rng.uniform(-1, 1, size=6)]
+        r = nm.toeplitz_from_autocorr(nm.AutocorrSequence(values=lags), 7)
         w = nm.invert_to_weight(r)
         assert np.abs(w.matrix - w.matrix.T).max() == 0.0
+
+    @pytest.mark.parametrize("case", ["spd", "persymmetric-only", "asymmetric"])
+    def test_matrix_that_is_not_centrosymmetric_rejected(self, case, rng):
+        # Symmetric positive definite but not centrosymmetric, centrosymmetric
+        # but not symmetric: neither splits into the two blocks.
+        a = rng.normal(size=(7, 7))
+        r = nm.toeplitz_from_autocorr(
+            nm.AutocorrSequence(values=np.r_[7.0, rng.uniform(-1, 1, 6)]), 7)
+        if case == "spd":
+            r = a @ a.T + 7 * np.eye(7)
+        elif case == "persymmetric-only":
+            r[0, 1] += 0.5
+            r[-1, -2] += 0.5
+        else:
+            r[0, 1] += 0.5
+        with pytest.raises(ValueError, match="centrosymmetric"):
+            nm.invert_to_weight(r)
+
+
+class TestCentrosymmetricBlocks:
+    @pytest.mark.parametrize("size", [1, 2, 5, 6])
+    def test_blocks_are_the_matrix_in_the_parity_basis(self, size, rng):
+        # Q' R Q = diag(E, O), Q the orthonormal symmetric and antisymmetric
+        # vectors, E of order ceil(n/2) and O of order floor(n/2).
+        r = nm.toeplitz_from_autocorr(
+            nm.AutocorrSequence(values=np.r_[3.0, rng.uniform(-1, 1, size)]), size)
+        k = size // 2
+        q = np.zeros((size, size))
+        for i in range(k):
+            q[[i, size - 1 - i], i] = [math.sqrt(0.5), math.sqrt(0.5)]
+            q[[i, size - 1 - i], size - k + i] = [math.sqrt(0.5), -math.sqrt(0.5)]
+        if size % 2:
+            q[k, k] = 1.0
+        even, odd = nm.centrosymmetric_blocks(r)
+        assert even.shape == (size - k, size - k) and odd.shape == (k, k)
+        split = q.T @ r @ q
+        assert np.allclose(split[:size - k, :size - k], even, rtol=0, atol=1e-14)
+        assert np.allclose(split[size - k:, size - k:], odd, rtol=0, atol=1e-14)
+        assert np.abs(split[:size - k, size - k:]).max(initial=0.0) <= 1e-14
+        assert np.array_equal(even, even.T) and np.array_equal(odd, odd.T)
+
+    def test_rejects_a_matrix_that_is_not_square(self):
+        with pytest.raises(ValueError, match="square"):
+            nm.centrosymmetric_blocks(np.ones((2, 3)))
 
 
 class TestAutocorrInvariant:

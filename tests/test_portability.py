@@ -3,8 +3,9 @@
 numpy's bundled OpenBLAS picks its CPU kernels at run time, and
 ``OPENBLAS_CORETYPE`` overrides that pick for one process; it splits a large
 product between threads unless ``OPENBLAS_NUM_THREADS=1``.  This test
-re-runs the kernel, statistic, shared-pass and batched-detection tests in a
-child pytest with ``OPENBLAS_CORETYPE=Haswell`` and
+re-runs the kernel, statistic, shared-pass and batched-detection tests, and
+the weight-route and KKT-oracle tests whose LAPACK solves and eigenvalues
+go through BLAS, in a child pytest with ``OPENBLAS_CORETYPE=Haswell`` and
 ``OPENBLAS_NUM_THREADS=1``, set in the child's environment only, so that a
 check which holds only on the host's own kernels or thread split fails
 here.  The golden-byte tests of ``test_cli.py`` stay out of
@@ -38,6 +39,7 @@ BOUND_TESTS = [
     "tests/test_sim_harness.py::TestBatchedDetection::test_run_detector_is_the_one_trace_case",
     "tests/test_sim_harness.py::TestKeptDesigns::test_reports_equal_a_fresh_design_and_transform",
     "tests/test_cli.py::TestDetectionCsv",
+    "tests/test_weight_properties.py",
 ]
 
 
